@@ -23,6 +23,10 @@ The micro cases model the paper's hot operations:
 ``tlb_flush``
     A 2 MiB-range TLB shootdown against a warm TLB, as issued after
     every table copy.
+``set_path``
+    In-place SET overwrites through :meth:`KvStore.set` on present,
+    writable pages — the parent's per-write cost outside a snapshot
+    window (one page-table walk per access).
 
 The macro cases regenerate experiment points:
 
@@ -46,6 +50,9 @@ The macro cases regenerate experiment points:
     One figx-cluster run (default fork, staggered policy): the
     per-shard ``free_at`` + machine-wide ``kernel_busy`` solve under a
     live coordinator.
+``rdb_dump``
+    One ``SnapshotJob.finish`` (remaining child copy + RDB dump) of a
+    16k-key engine under Async-fork: the child-side keyspace read.
 """
 
 from __future__ import annotations
@@ -67,12 +74,14 @@ PINNED = {
     "micro.wp_sweep": "write-protect sweep over 16 tables + boundaries",
     "micro.fault_storm": "1024 first-touch write faults (4 MiB VMA)",
     "micro.tlb_flush": "2 MiB TLB range shootdown, warm TLB",
+    "micro.set_path": "2048 in-place SET overwrites on present pages",
     "macro.fig3_fork": "functional default fork, profile-scaled RSS",
     "macro.async_drain": "async fork + full child-copy drain",
     "macro.fig45_point": "fig4/5 latency point, default fork @ 1 GiB",
     "macro.fig45_sweep": "fig4/5 sweep regeneration, vectorized timeline",
     "macro.fig45_sweep_scalar": "fig4/5 sweep on the scalar reference loops",
     "macro.cluster_round": "one figx-cluster run (default, staggered)",
+    "macro.rdb_dump": "BGSAVE finish of a 16k-key engine (Async-fork)",
 }
 
 
@@ -181,6 +190,32 @@ def op_tlb_flush(mm: AddressSpace):
     lo = MMAP_BASE + 1024 * PAGE_SIZE
     mm._flush_tlb_range(lo, lo + TLB_FLUSH_SPAN)
     return TLB_FLUSH_SPAN // PAGE_SIZE
+
+
+SET_PATH_KEYS = 4096
+SET_PATH_OPS = 2048
+#: The wire benchmark's SET payload size.
+KV_VALUE = b"v" * 64
+
+
+def setup_set_path():
+    from repro.kvs.store import KvStore
+
+    mm = AddressSpace(FrameAllocator(), name="bench")
+    store = KvStore(mm)
+    keys = [b"key:%d" % i for i in range(SET_PATH_KEYS)]
+    for key in keys:
+        store.set(key, KV_VALUE)
+    # A fixed stride over the keyspace: every write hits a present page.
+    order = [keys[i * 7 % SET_PATH_KEYS] for i in range(SET_PATH_OPS)]
+    return (store, order), {}
+
+
+def op_set_path(store, order):
+    set_value = store.set
+    for key in order:
+        set_value(key, KV_VALUE)
+    return len(order)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +328,25 @@ def op_cluster_round(profile: SimulationProfile):
     return _one_run(profile, "default", "staggered", 0)
 
 
+RDB_DUMP_KEYS = 16384
+
+
+def setup_rdb_dump(profile: SimulationProfile):
+    # Fixed at the wire benchmark's 16k keys whatever the profile.
+    from repro.core.async_fork import AsyncFork
+    from repro.kvs.engine import KvEngine
+
+    engine = KvEngine(fork_engine=AsyncFork())
+    for i in range(RDB_DUMP_KEYS):
+        engine.set(b"key:%d" % i, KV_VALUE)
+    return (engine, engine.bgsave()), {}
+
+
+def op_rdb_dump(engine, job):
+    # ``engine`` rides along so ``sim_allocs`` finds its allocator.
+    return job.finish()
+
+
 # ---------------------------------------------------------------------------
 # the case table
 # ---------------------------------------------------------------------------
@@ -303,6 +357,7 @@ CASES = {
     "micro.wp_sweep": (setup_wp_sweep, op_wp_sweep, 20, False),
     "micro.fault_storm": (setup_fault_storm, op_fault_storm, 10, False),
     "micro.tlb_flush": (setup_tlb_flush, op_tlb_flush, 20, False),
+    "micro.set_path": (setup_set_path, op_set_path, 20, False),
     "macro.fig3_fork": (setup_fig3_fork, op_fig3_fork, 5, True),
     "macro.async_drain": (setup_async_drain, op_async_drain, 5, True),
     "macro.fig45_point": (setup_fig45_point, op_fig45_point, 3, True),
@@ -314,6 +369,7 @@ CASES = {
         True,
     ),
     "macro.cluster_round": (setup_cluster_round, op_cluster_round, 3, True),
+    "macro.rdb_dump": (setup_rdb_dump, op_rdb_dump, 5, True),
 }
 
 

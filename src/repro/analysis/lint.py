@@ -32,6 +32,14 @@ Rules
     Python loop there silently reverts the vectorization.  Deliberate
     scalar fallbacks (e.g. the tracing arms, cold NUMA paths) carry the
     allow pragma.
+``enum-flag``
+    ``PteFlags`` arithmetic (``|``, ``&``, ``^``, ``~``, also augmented)
+    or a ``PteFlags(...)`` call inside a function body of a hot module.
+    Every ``enum.IntFlag`` operator goes through the enum machinery,
+    which cost more than the simulated walk it decorated; hot paths use
+    the plain-int ``PTE_*`` masks of :mod:`repro.mem.flags`.
+    Module-level constant definitions (evaluated once at import) are
+    fine, and display helpers carry the allow pragma.
 ``hook-leak``
     Non-test code appending a callback to one of the
     :mod:`repro.analysis.hooks` collector lists (``LOCK_HOOKS``,
@@ -129,9 +137,11 @@ _BUILTIN_EXCEPTIONS = frozenset(
 #: but listing them here keeps the lint's self-test honest).
 _RNG_BLESSED_MODULES = frozenset({"determinism"})
 
-#: Path suffixes of the vectorized hot modules: per-PTE Python loops in
-#: these files are findings (rule ``pte-loop``).
+#: Path suffixes of the vectorized hot modules: per-PTE Python loops and
+#: in-function ``PteFlags`` arithmetic in these files are findings (rules
+#: ``pte-loop`` and ``enum-flag``).
 _PTE_HOT_MODULES = (
+    "mem/flags.py",
     "mem/pte_table.py",
     "mem/page_table.py",
     "mem/cow.py",
@@ -143,6 +153,9 @@ _PTE_HOT_MODULES = (
     "core/async_fork.py",
     "kvs/rdb.py",
 )
+
+#: Operators whose ``PteFlags`` operands mark enum-flag arithmetic.
+_BIT_OPS = (ast.BitOr, ast.BitAnd, ast.BitXor)
 
 #: PteTable accessors whose per-element iteration marks a PTE loop.
 _PTE_ITER_METHODS = frozenset(
@@ -248,6 +261,11 @@ class _Linter(ast.NodeVisitor):
             or module_name.startswith("test_")
             or module_name == "conftest"
         )
+        #: ``enum-flag`` bookkeeping: function nesting depth, and how many
+        #: already-reported flag expressions enclose the current node
+        #: (one finding per expression, not one per operator).
+        self._func_depth = 0
+        self._in_flag_expr = 0
         #: ``hook-leak`` bookkeeping: append sites and removed collectors.
         self._hook_appends: list[tuple[ast.Call, str]] = []
         self._hook_removes: set[str] = set()
@@ -288,6 +306,9 @@ class _Linter(ast.NodeVisitor):
         if target is not None:
             self._check_call_target(node, target)
             self._track_hook_call(node, target)
+            if target.split(".")[-1] == "PteFlags":
+                self._check_enum_flag(node, "PteFlags(...) construction")
+                return
         self.generic_visit(node)
 
     def _track_hook_call(self, node: ast.Call, target: str) -> None:
@@ -419,6 +440,63 @@ class _Linter(ast.NodeVisitor):
     visit_DictComp = _visit_comprehension
     visit_GeneratorExp = _visit_comprehension
 
+    # -- enum-flag arithmetic -----------------------------------------------
+
+    def _is_pte_flag(self, expr: ast.expr) -> bool:
+        """Whether ``expr`` is ``PteFlags``-valued: a ``PteFlags.<MEMBER>``
+        reference, or bitwise arithmetic with one as an operand."""
+        if isinstance(expr, ast.Attribute):
+            owner = self.imports.resolve_call(expr.value)
+            return owner is not None and owner.split(".")[-1] == "PteFlags"
+        if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.Invert):
+            return self._is_pte_flag(expr.operand)
+        if isinstance(expr, ast.BinOp) and isinstance(expr.op, _BIT_OPS):
+            return self._is_pte_flag(expr.left) or self._is_pte_flag(
+                expr.right
+            )
+        return False
+
+    def _check_enum_flag(self, node: ast.AST, what: str) -> None:
+        """Report ``node`` (then visit its children) unless exempt."""
+        if not self.pte_hot or not self._func_depth or self._in_flag_expr:
+            self.generic_visit(node)
+            return
+        self._report(
+            node,
+            "enum-flag",
+            f"{what} in a hot-module function; use the plain-int PTE_* "
+            "masks of repro.mem.flags (DESIGN.md §10)",
+        )
+        self._in_flag_expr += 1
+        try:
+            self.generic_visit(node)
+        finally:
+            self._in_flag_expr -= 1
+
+    def _visit_flag_operator(self, node: ast.expr) -> None:
+        if self._is_pte_flag(node):
+            self._check_enum_flag(node, "PteFlags bitwise arithmetic")
+            return
+        self.generic_visit(node)
+
+    visit_BinOp = _visit_flag_operator
+    visit_UnaryOp = _visit_flag_operator
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        if isinstance(node.op, _BIT_OPS) and self._is_pte_flag(node.value):
+            self._check_enum_flag(node, "PteFlags bitwise arithmetic")
+            return
+        self.generic_visit(node)
+
+    def _visit_function_body(self, node: ast.AST) -> None:
+        self._func_depth += 1
+        try:
+            self.generic_visit(node)
+        finally:
+            self._func_depth -= 1
+
+    visit_Lambda = _visit_function_body
+
     # -- raises ----------------------------------------------------------
 
     def visit_Raise(self, node: ast.Raise) -> None:
@@ -451,11 +529,11 @@ class _Linter(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_shadow(node, node.name)
-        self.generic_visit(node)
+        self._visit_function_body(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_shadow(node, node.name)
-        self.generic_visit(node)
+        self._visit_function_body(node)
 
 
 def lint_source(source: str, path: str = "<string>") -> list[LintFinding]:

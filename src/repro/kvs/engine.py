@@ -31,7 +31,7 @@ from repro.kernel.forks.default import DefaultFork
 from repro.kernel.task import Process
 from repro.kvs import aof as aof_mod
 from repro.kvs import rdb
-from repro.kvs.store import KvStore, ValueRef
+from repro.kvs.store import KvStore, ValueRef, read_keyspace
 from repro.mem.frames import FrameAllocator
 from repro.obs import tracer as obs
 from repro.sim.disk import DiskDevice
@@ -122,13 +122,7 @@ class ForkJob:
                 )
 
     def _child_entries(self):
-        from repro.kvs.store import _read_paged
-
-        cache: dict[int, bytes] = {}
-        return (
-            (key, _read_paged(self.child.mm, ref.vaddr, ref.length, cache))
-            for key, ref in self._table.items()
-        )
+        return read_keyspace(self.child.mm, self._table)
 
     def abort(self, reason: Optional[str] = None) -> None:
         """Tear the job down after a failure (or a watchdog kill)."""

@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 from repro.errors import KvsError
 from repro.kvs.allocator import JemallocArena
 from repro.mem.address_space import AddressSpace
-from repro.units import PAGE_SIZE, page_align_down
+from repro.units import PAGE_MASK, PAGE_SIZE
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ class KvStore:
         old = self._table.get(key)
         if old is not None and self.arena.usable_size(old.vaddr) >= len(value):
             self.mm.write_memory(old.vaddr, value)
-            self._table[key] = ValueRef(old.vaddr, len(value))
+            if old.length != len(value):
+                self._table[key] = ValueRef(old.vaddr, len(value))
         else:
             vaddr = self.arena.zmalloc(max(1, len(value)))
             self.mm.write_memory(vaddr, value)
@@ -98,16 +99,10 @@ class KvStore:
 
         This is how the forked child serializes the snapshot: it walks the
         key table it inherited and reads the values out of its own memory
-        image, which CoW keeps at the fork-time state.
-
-        Values pack many to a page, so the walk reads each backing page
-        through ``mm`` once and slices values out of a local page cache —
-        the first value touching a page still drives the fault/CoW
-        machinery exactly as a direct read would.
+        image, which CoW keeps at the fork-time state.  The values come
+        from one bulk read of their backing pages (:func:`read_keyspace`).
         """
-        cache: dict[int, bytes] = {}
-        for key, ref in self._table.items():
-            yield key, _read_paged(mm, ref.vaddr, ref.length, cache)
+        return read_keyspace(mm, self._table)
 
     def table_snapshot(self) -> dict[bytes, ValueRef]:
         """Shallow copy of the key table, as inherited by a forked child."""
@@ -118,28 +113,39 @@ class KvStore:
         return sum(ref.length for ref in self._table.values())
 
 
-def _read_paged(
-    mm: AddressSpace, vaddr: int, length: int, cache: dict[int, bytes]
-) -> bytes:
-    """Read ``length`` bytes at ``vaddr``, whole pages at a time.
+def read_keyspace(
+    mm: AddressSpace, table: dict[bytes, ValueRef]
+) -> Iterator[tuple[bytes, bytes]]:
+    """Yield ``(key, value)`` for every entry of ``table``, read via ``mm``.
 
-    Pages are fetched through ``mm.read_memory`` (so faults, the TLB,
-    and CoW behave as for any other read) and memoized in ``cache`` for
-    the duration of one keyspace walk.
+    Values pack many to a page, so the backing pages are collected once,
+    in first-touch key order, and read in one
+    :meth:`~repro.mem.address_space.AddressSpace.read_pages` call — the
+    same page reads, in the same order, as reading each page through
+    ``read_memory`` the first time a value touches it.  The read happens
+    when the first pair is requested, so a consumer such as ``rdb.dump``
+    accounts for it.
     """
-    parts: list[bytes] = []
-    offset = 0
-    while offset < length:
-        here = vaddr + offset
-        base = page_align_down(here)
-        page = cache.get(base)
-        if page is None:
-            page = mm.read_memory(base, PAGE_SIZE)
-            cache[base] = page
-        in_page = here - base
-        chunk = min(length - offset, PAGE_SIZE - in_page)
-        parts.append(page[in_page : in_page + chunk])
-        offset += chunk
-    if len(parts) == 1:
-        return parts[0]
-    return b"".join(parts)
+    bases: dict[int, None] = {}
+    for ref in table.values():
+        page = ref.vaddr & PAGE_MASK
+        end = ref.vaddr + ref.length
+        while page < end:
+            bases[page] = None
+            page += PAGE_SIZE
+    pages = dict(zip(bases, mm.read_pages(list(bases))))
+    for key, ref in table.items():
+        vaddr, length = ref.vaddr, ref.length
+        base = vaddr & PAGE_MASK
+        lo = vaddr - base
+        if lo + length <= PAGE_SIZE:
+            # Zero-length values touch no page (``bases`` skipped them).
+            yield key, pages[base][lo : lo + length] if length else b""
+            continue
+        parts = [pages[base][lo:]]
+        remaining = length - (PAGE_SIZE - lo)
+        while remaining > 0:
+            base += PAGE_SIZE
+            parts.append(pages[base][:remaining])
+            remaining -= PAGE_SIZE
+        yield key, b"".join(parts)

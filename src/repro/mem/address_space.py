@@ -16,7 +16,7 @@ resolves the data-page CoW as usual.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,19 +26,30 @@ from repro.mem import checkpoints as cp
 from repro.mem.checkpoints import CheckpointEvent
 from repro.mem.directory import require_pte_table
 from repro.mem.flags import (
-    PteFlags,
+    FLAGS_MASK,
+    PTE_ACCESSED,
+    PTE_DIRTY,
+    PTE_PRESENT,
+    PTE_RW,
+    PTE_SPECIAL,
+    PTE_SWAP,
+    make_pte,
     pte_frame,
-    pte_present,
-    pte_writable,
 )
 from repro.mem.frames import FrameAllocator
+from repro.mem.hugepage import HUGE_PAGE_SIZE, HugePage, huge_base
 from repro.mem.page_table import PageTable
+from repro.mem.pte_table import PteTable
 from repro.mem.tlb import Tlb
 from repro.obs import tracer as obs
 from repro.obs.registry import CounterDict, MetricsRegistry
 from repro.mem.vma import Vma, VmaList, VmaProt, aligned_range
 from repro.units import (
+    INDEX_MASK,
+    PAGE_MASK,
+    PAGE_SHIFT,
     PAGE_SIZE,
+    PMD_INDEX_SHIFT,
     PTE_TABLE_SPAN,
     page_align_down,
     pte_index,
@@ -51,8 +62,10 @@ STACK_TOP = 0x7FFF_FF00_0000
 
 ZERO_FRAME = 0
 
-_ACCESSED = np.uint64(int(PteFlags.ACCESSED))
-_PAGE_SHIFT = np.uint64(PAGE_SIZE.bit_length() - 1)
+_ACCESSED = np.uint64(PTE_ACCESSED)
+_PAGE_SHIFT = np.uint64(PAGE_SHIFT)
+#: A write needs both bits; the fast path tests them with one compare.
+_PRESENT_RW = PTE_PRESENT | PTE_RW
 
 CheckpointSubscriber = Callable[[CheckpointEvent], None]
 
@@ -184,8 +197,6 @@ class AddressSpace:
         fault/CoW granularity and all-or-nothing residency — and
         incompatible with Async-fork's PMD R/W-bit reuse.
         """
-        from repro.mem.hugepage import HUGE_PAGE_SIZE
-
         if length <= 0 or length % HUGE_PAGE_SIZE:
             raise ValueError("huge mappings are 2 MiB-granular")
         # Align the arena cursor up to a huge-page boundary.
@@ -298,8 +309,6 @@ class AddressSpace:
         (``zap_pmd_range`` on the OOM path) or ``None`` when a VMA-wide
         checkpoint already covered the range.
         """
-        from repro.mem.hugepage import HugePage
-
         zapped = 0
         for pmd, idx, base in self.page_table.iter_pmd_slots(lo, hi):
             leaf = pmd.get(idx)
@@ -419,61 +428,62 @@ class AddressSpace:
         # the session may have lost the trylock race (the holder will
         # finish the copy and clear it).
         found = self.page_table.walk_pmd(vaddr)
-        if (
-            write
-            and not self.checkpoint_subscribers
-            and found is not None
-            and found[0].is_write_protected(found[1])
-        ):
-            found[0].set_write_protected(found[1], False)
+        leaf = None
+        if found is not None:
+            pmd, slot = found
+            if (
+                write
+                and not self.checkpoint_subscribers
+                and pmd.is_write_protected(slot)
+            ):
+                pmd.set_write_protected(slot, False)
+            leaf = pmd.get(slot)
+        pte = 0
+        if leaf is not None:
+            leaf = require_pte_table(leaf)
+            if hooks.ACCESS_HOOKS:
+                hooks.notify_access("read", "pte", leaf.page.frame)
+            pte = leaf.get(pte_index(vaddr))
 
-        pte = self.page_table.get_pte(vaddr)
-        if not pte_present(pte) and pte & int(PteFlags.SWAP):
-            # Swap-in: restore the page privately from the shared slot,
-            # then resolve any pending CoW arm for write accesses.
-            frame = self._swap_in(vaddr, pte)
-            pte = self.page_table.get_pte(vaddr)
-            if write and not pte_writable(pte):
-                return self._resolve_cow(vaddr, pte)
-            return frame
-        if not pte_present(pte) and pte & int(PteFlags.SPECIAL):
-            # NUMA hint fault: the frame is intact, re-establish PRESENT.
-            pte = self._restore_numa_hint(vaddr, pte)
-        if not pte_present(pte):
-            return self._fault_in_page(vaddr, vma, write)
-        if write and not pte_writable(pte):
-            return self._resolve_cow(vaddr, pte)
-        leaf = self.page_table.walk_pte_table(vaddr)
-        assert leaf is not None
-        flags = PteFlags.ACCESSED | (PteFlags.DIRTY if write else PteFlags.NONE)
-        leaf.add_flags(pte_index(vaddr), flags)
-        return pte_frame(pte)
+        if not pte & PTE_PRESENT:
+            if pte & PTE_SWAP:
+                # Swap-in: restore the page privately from the shared
+                # slot, then resolve any pending CoW arm for writes.
+                frame = self._swap_in(leaf, vaddr, pte)
+                pte = self.page_table.get_pte(vaddr)
+                if write and not pte & PTE_RW:
+                    return self._resolve_cow(leaf, vaddr, pte)
+                return frame
+            if pte & PTE_SPECIAL:
+                # NUMA hint fault: the frame is intact, re-establish
+                # PRESENT.
+                pte = self._restore_numa_hint(leaf, vaddr, pte)
+            else:
+                return self._fault_in_page(vaddr, vma, write)
+        if write and not pte & PTE_RW:
+            return self._resolve_cow(leaf, vaddr, pte)
+        leaf.add_flags(
+            pte_index(vaddr), PTE_ACCESSED | (PTE_DIRTY if write else 0)
+        )
+        return pte >> PAGE_SHIFT
 
-    def _swap_in(self, vaddr: int, pte: int) -> int:
+    def _swap_in(self, leaf: PteTable, vaddr: int, pte: int) -> int:
         """Fault a swapped-out page back in from the shared swap space."""
-        from repro.mem.flags import make_pte, pte_flags
-
         slot = pte_frame(pte)
         contents = self.frames.swap.load(slot)
         page = self.frames.alloc("data")
         page.get()
         if contents:
             self.frames.write(page.frame, 0, contents)
-        flags = (pte_flags(pte) | PteFlags.PRESENT) & ~PteFlags.SWAP
-        leaf = self.page_table.walk_pte_table(vaddr)
-        assert leaf is not None
+        flags = ((pte & FLAGS_MASK) | PTE_PRESENT) & ~PTE_SWAP
         leaf.set(pte_index(vaddr), make_pte(page.frame, flags))
         self.rss += 1
         self.tlb.flush_page(vaddr)
         return page.frame
 
-    def _restore_numa_hint(self, vaddr: int, pte: int) -> int:
+    def _restore_numa_hint(self, leaf: PteTable, vaddr: int, pte: int) -> int:
         """Undo a change_prot_numa poisoning for one PTE."""
-        from repro.mem.flags import make_pte, pte_flags  # local: tiny helper
-
-        leaf = self.page_table.walk_pte_table(vaddr)
-        assert leaf is not None
-        flags = (pte_flags(pte) | PteFlags.PRESENT) & ~PteFlags.SPECIAL
+        flags = ((pte & FLAGS_MASK) | PTE_PRESENT) & ~PTE_SPECIAL
         restored = make_pte(pte_frame(pte), flags)
         leaf.set(pte_index(vaddr), restored)
         return restored
@@ -482,23 +492,25 @@ class AddressSpace:
         """First touch of an anonymous page."""
         if not write:
             # Read faults map the shared zero page read-only.
-            self.page_table.map(
-                vaddr, ZERO_FRAME, PteFlags.ACCESSED
-            )
+            self.page_table.map(vaddr, ZERO_FRAME, PTE_ACCESSED)
             return ZERO_FRAME
         page = self.frames.alloc("data")
         page.get()
-        flags = PteFlags.RW | PteFlags.ACCESSED | PteFlags.DIRTY
+        flags = PTE_RW | PTE_ACCESSED | PTE_DIRTY
         if not vma.prot & VmaProt.WRITE:  # pragma: no cover - guarded above
-            flags &= ~PteFlags.RW
+            flags &= ~PTE_RW
         self.page_table.map(vaddr, page.frame, flags)
         self.rss += 1
         self.tlb.flush_page(vaddr)
         return page.frame
 
-    def _resolve_cow(self, vaddr: int, pte: int) -> int:
-        """Break copy-on-write for a write to a write-protected page."""
-        frame = pte_frame(pte)
+    def _resolve_cow(self, leaf: PteTable, vaddr: int, pte: int) -> int:
+        """Break copy-on-write for a write to a write-protected page.
+
+        ``leaf`` is the PTE table the fault walked to (nothing between
+        that walk and this call replaces it).
+        """
+        frame = pte >> PAGE_SHIFT
         if frame == ZERO_FRAME:
             # Upgrade the zero page to a private writable page.
             self.page_table.clear_pte(vaddr)
@@ -512,9 +524,7 @@ class AddressSpace:
             self.frames.copy_contents(frame, new_page.frame)
             page.put()
             self.page_table.map(
-                vaddr,
-                new_page.frame,
-                PteFlags.RW | PteFlags.ACCESSED | PteFlags.DIRTY,
+                vaddr, new_page.frame, PTE_RW | PTE_ACCESSED | PTE_DIRTY
             )
             self.tlb.flush_page(vaddr)
             self.stats["cow_copies"] += 1
@@ -524,12 +534,7 @@ class AddressSpace:
                 )
             return new_page.frame
         # Sole owner: reuse the page in place.
-        leaf = self.page_table.walk_pte_table(vaddr)
-        assert leaf is not None
-        leaf.add_flags(
-            pte_index(vaddr),
-            PteFlags.RW | PteFlags.ACCESSED | PteFlags.DIRTY,
-        )
+        leaf.add_flags(pte_index(vaddr), PTE_RW | PTE_ACCESSED | PTE_DIRTY)
         self.tlb.flush_page(vaddr)
         return frame
 
@@ -545,8 +550,6 @@ class AddressSpace:
         return self._huge_fault(vaddr, vma, write)
 
     def _huge_fault(self, vaddr: int, vma: Vma, write: bool):
-        from repro.mem.hugepage import HUGE_PAGE_SIZE, HugePage, huge_base
-
         needed = VmaProt.WRITE if write else VmaProt.READ
         if not vma.prot & needed:
             raise ProtectionFaultError(
@@ -595,8 +598,6 @@ class AddressSpace:
     @_user_path
     def write_memory(self, vaddr: int, data: bytes) -> None:
         """Store bytes at a virtual address, faulting pages in as needed."""
-        from repro.mem.hugepage import HUGE_PAGE_SIZE, huge_base
-
         offset = 0
         while offset < len(data):
             here = vaddr + offset
@@ -611,7 +612,7 @@ class AddressSpace:
                     self.rss += HUGE_PAGE_SIZE // PAGE_SIZE
                 offset += chunk
                 continue
-            page_lo = page_align_down(here)
+            page_lo = here & PAGE_MASK
             in_page = here - page_lo
             chunk = min(len(data) - offset, PAGE_SIZE - in_page)
             frame = self._writable_frame(here)
@@ -626,8 +627,6 @@ class AddressSpace:
         This faithful modelling of TLB semantics is what exposes the
         shared-page-table leakage of Table 1.
         """
-        from repro.mem.hugepage import HUGE_PAGE_SIZE, huge_base
-
         parts: list[bytes] = []
         offset = 0
         while offset < length:
@@ -640,37 +639,105 @@ class AddressSpace:
                 parts.append(hp.read(in_huge, chunk))
                 offset += chunk
                 continue
-            page_lo = page_align_down(vaddr + offset)
-            in_page = vaddr + offset - page_lo
+            page_lo = here & PAGE_MASK
+            in_page = here - page_lo
             chunk = min(length - offset, PAGE_SIZE - in_page)
             frame = self.tlb.lookup(page_lo)
             if frame is None:
-                pte = self.page_table.get_pte(page_lo)
-                if pte_present(pte):
-                    frame = pte_frame(pte)
-                    leaf = self.page_table.walk_pte_table(page_lo)
-                    assert leaf is not None
-                    leaf.add_flags(pte_index(page_lo), PteFlags.ACCESSED)
-                else:
+                frame = self._read_walked(self._walk_leaf(page_lo), page_lo)
+                if frame is None:
                     frame = self.handle_fault(page_lo, write=False)
                 self.tlb.insert(page_lo, frame)
             parts.append(self.frames.read(frame, in_page, chunk))
             offset += chunk
         return b"".join(parts)
 
+    @_user_path
+    def read_pages(self, bases: Sequence[int]) -> list[bytes]:
+        """Whole pages at the page-aligned ``bases``, in the given order.
+
+        Each page has exactly the effects of ``read_memory(base,
+        PAGE_SIZE)``: the TLB is consulted first (stale entries are
+        used), a walk sets ACCESSED and fires the walker's ``read pte``
+        hook, and a non-present entry takes a read fault.  The bulk form
+        only saves walks: the PTE table walked for one page serves the
+        following pages of the same 2 MiB span, and is dropped after any
+        fault — the fault's checkpoint may have replaced it.
+        """
+        tlb = self.tlb
+        read = self.frames.read
+        pages: list[bytes] = []
+        span = -1  # 2 MiB span (vaddr >> PMD_INDEX_SHIFT) of ``leaf``
+        leaf: Optional[PteTable] = None
+        for base in bases:
+            hp = self._huge_mapping(base, write=False)
+            if hp is not None:
+                pages.append(hp.read(base - huge_base(base), PAGE_SIZE))
+                span = -1
+                continue
+            frame = tlb.lookup(base)
+            if frame is None:
+                if base >> PMD_INDEX_SHIFT != span:
+                    span = base >> PMD_INDEX_SHIFT
+                    leaf = self._walk_leaf(base)
+                frame = self._read_walked(leaf, base)
+                if frame is None:
+                    frame = self.handle_fault(base, write=False)
+                    span = -1
+                tlb.insert(base, frame)
+            pages.append(read(frame, 0, PAGE_SIZE))
+        return pages
+
+    def _walk_leaf(self, vaddr: int) -> Optional[PteTable]:
+        """The PTE table covering ``vaddr`` (one walk), or ``None``."""
+        found = self.page_table.walk_pmd(vaddr)
+        if found is None:
+            return None
+        leaf = found[0].get(found[1])
+        if leaf is None:
+            return None
+        return require_pte_table(leaf)
+
+    @staticmethod
+    def _read_walked(leaf: Optional[PteTable], vaddr: int) -> Optional[int]:
+        """Frame for a read through a walked ``leaf``; ``None`` = fault.
+
+        The hardware walker's read: it fires the ``read pte`` access hook
+        and sets ACCESSED on a present entry.
+        """
+        if leaf is None:
+            return None
+        if hooks.ACCESS_HOOKS:
+            hooks.notify_access("read", "pte", leaf.page.frame)
+        index = (vaddr >> PAGE_SHIFT) & INDEX_MASK
+        pte = leaf.get(index)
+        if not pte & PTE_PRESENT:
+            return None
+        leaf.add_flags(index, PTE_ACCESSED)
+        return pte >> PAGE_SHIFT
+
     def _writable_frame(self, vaddr: int) -> int:
-        """Frame for a write access, resolving faults if required."""
-        pte = self.page_table.get_pte(vaddr)
-        if pte_present(pte) and pte_writable(pte):
-            found = self.page_table.walk_pmd(vaddr)
-            assert found is not None
-            if not found[0].is_write_protected(found[1]):
-                leaf = self.page_table.walk_pte_table(vaddr)
-                assert leaf is not None
-                leaf.add_flags(
-                    pte_index(vaddr), PteFlags.ACCESSED | PteFlags.DIRTY
-                )
-                return pte_frame(pte)
+        """Frame for a write access, resolving faults if required.
+
+        One walk: the leaf and the PMD write-protect marker both come
+        from the same :meth:`PageTable.walk_pmd` result.
+        """
+        found = self.page_table.walk_pmd(vaddr)
+        if found is not None:
+            pmd, slot = found
+            leaf = pmd.get(slot)
+            if leaf is not None:
+                leaf = require_pte_table(leaf)
+                if hooks.ACCESS_HOOKS:
+                    hooks.notify_access("read", "pte", leaf.page.frame)
+                index = (vaddr >> PAGE_SHIFT) & INDEX_MASK
+                pte = leaf.get(index)
+                if (
+                    pte & _PRESENT_RW == _PRESENT_RW
+                    and not pmd.is_write_protected(slot)
+                ):
+                    leaf.add_flags(index, PTE_ACCESSED | PTE_DIRTY)
+                    return pte >> PAGE_SHIFT
         return self.handle_fault(vaddr, write=True)
 
     @_user_path
@@ -688,8 +755,6 @@ class AddressSpace:
 
     def estimate_wss(self) -> int:
         """Count accessed PTEs — the kernel's WSS estimator input."""
-        from repro.mem.hugepage import HugePage
-
         count = 0
         for vma in self.vmas:
             for pmd, idx, base in self.page_table.iter_pmd_slots(
@@ -732,7 +797,7 @@ class AddressSpace:
                 if leaf is None:
                     continue
                 leaf = require_pte_table(leaf)
-                leaf.clear_flags_present(PteFlags.ACCESSED)
+                leaf.clear_flags_present(PTE_ACCESSED)
 
     # ------------------------------------------------------------------
 

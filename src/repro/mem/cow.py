@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mem.flags import PteFlags
+from repro.mem.flags import PTE_RW
 from repro.mem.frames import FrameAllocator
 from repro.mem.pte_table import PteTable
 from repro.obs import tracer as obs
 
-_RW = np.uint64(int(PteFlags.RW))
+_RW = np.uint64(PTE_RW)
 
 
 def clone_pte_table_into(

@@ -42,8 +42,18 @@ class PteFlags(enum.IntFlag):
 #: Mask covering every flag bit (everything below the frame number).
 FLAGS_MASK = (1 << PAGE_SHIFT) - 1
 
+# Plain-int masks for the hot paths: ``enum.IntFlag`` arithmetic costs a
+# metaclass call per operator, which dominated the per-access cost of the
+# simulated walker.  ``PteFlags`` stays the type for display/debugging.
+PTE_PRESENT = int(PteFlags.PRESENT)
+PTE_RW = int(PteFlags.RW)
+PTE_ACCESSED = int(PteFlags.ACCESSED)
+PTE_DIRTY = int(PteFlags.DIRTY)
+PTE_SPECIAL = int(PteFlags.SPECIAL)
+PTE_SWAP = int(PteFlags.SWAP)
 
-def make_pte(frame: int, flags: PteFlags) -> int:
+
+def make_pte(frame: int, flags: int) -> int:
     """Compose a PTE value from a frame number and flags."""
     if frame < 0:
         raise ValueError("frame number must be non-negative")
@@ -56,25 +66,28 @@ def pte_frame(pte: int) -> int:
 
 
 def pte_flags(pte: int) -> PteFlags:
-    """Extract the flag bits from a PTE value."""
-    return PteFlags(int(pte) & FLAGS_MASK)
+    """Extract the flag bits from a PTE value, as a :class:`PteFlags`.
+
+    For display and debugging; hot paths mask with the int constants.
+    """
+    return PteFlags(int(pte) & FLAGS_MASK)  # lint: allow(enum-flag)
 
 
 def pte_present(pte: int) -> bool:
     """True if the entry maps a frame."""
-    return bool(int(pte) & PteFlags.PRESENT)
+    return bool(int(pte) & PTE_PRESENT)
 
 
 def pte_writable(pte: int) -> bool:
     """True if the entry allows hardware writes."""
-    return bool(int(pte) & PteFlags.RW)
+    return bool(int(pte) & PTE_RW)
 
 
-def pte_set_flags(pte: int, flags: PteFlags) -> int:
+def pte_set_flags(pte: int, flags: int) -> int:
     """Return the PTE with ``flags`` added."""
     return int(pte) | int(flags)
 
 
-def pte_clear_flags(pte: int, flags: PteFlags) -> int:
+def pte_clear_flags(pte: int, flags: int) -> int:
     """Return the PTE with ``flags`` removed."""
     return int(pte) & ~int(flags)

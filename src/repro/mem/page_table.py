@@ -26,11 +26,12 @@ from repro.mem.directory import (
     require_directory,
     require_pte_table,
 )
-from repro.mem.flags import PteFlags, make_pte, pte_frame, pte_present
+from repro.mem.flags import PTE_PRESENT, make_pte, pte_frame, pte_present
 from repro.mem.frames import FrameAllocator
 from repro.mem.pte_table import PteTable
 from repro.units import (
     ENTRIES_PER_TABLE,
+    INDEX_MASK,
     PAGE_SIZE,
     PGD_INDEX_SHIFT,
     PMD_INDEX_SHIFT,
@@ -70,21 +71,29 @@ class PageTable:
 
         With ``create`` the intermediate directories are allocated on
         demand; otherwise ``None`` is returned when the path is absent.
+        This is the one walk every access performs, so the lookups read
+        the directory slots directly (same checks as :meth:`get` plus
+        :func:`require_directory`).
         """
-        pud = self.pgd.get(pgd_index(vaddr))
+        gi = (vaddr >> PGD_INDEX_SHIFT) & INDEX_MASK
+        pud = self.pgd._slots[gi]
         if pud is None:
             if not create:
                 return None
             pud = self._new_directory(PUD)
-            self.pgd.set(pgd_index(vaddr), pud)
-        pud = require_directory(pud, PUD)
-        pmd = pud.get(pud_index(vaddr))
+            self.pgd.set(gi, pud)
+        elif type(pud) is not DirectoryTable or pud.level != PUD:
+            pud = require_directory(pud, PUD)
+        ui = (vaddr >> PUD_INDEX_SHIFT) & INDEX_MASK
+        pmd = pud._slots[ui]
         if pmd is None:
             if not create:
                 return None
             pmd = self._new_directory(PMD)
-            pud.set(pud_index(vaddr), pmd)
-        return require_directory(pmd, PMD), pmd_index(vaddr)
+            pud.set(ui, pmd)
+        elif type(pmd) is not DirectoryTable or pmd.level != PMD:
+            pmd = require_directory(pmd, PMD)
+        return pmd, (vaddr >> PMD_INDEX_SHIFT) & INDEX_MASK
 
     def walk_pte_table(
         self, vaddr: int, create: bool = False
@@ -122,9 +131,9 @@ class PageTable:
         assert leaf is not None
         leaf.set(pte_index(vaddr), value)
 
-    def map(self, vaddr: int, frame: int, flags: PteFlags) -> None:
+    def map(self, vaddr: int, frame: int, flags: int) -> None:
         """Map ``vaddr`` to ``frame`` with ``flags`` (plus PRESENT)."""
-        self.set_pte(vaddr, make_pte(frame, flags | PteFlags.PRESENT))
+        self.set_pte(vaddr, make_pte(frame, int(flags) | PTE_PRESENT))
 
     def clear_pte(self, vaddr: int) -> int:
         """Clear the PTE for ``vaddr``; return the old value."""

@@ -21,24 +21,25 @@ import numpy as np
 
 from repro.analysis import hooks
 from repro.mem.flags import (
-    PteFlags,
-    pte_clear_flags,
-    pte_present,
-    pte_set_flags,
+    PTE_ACCESSED,
+    PTE_DIRTY,
+    PTE_PRESENT,
+    PTE_RW,
+    PTE_SPECIAL,
 )
 from repro.mem.page_struct import PageStruct
 from repro.units import ENTRIES_PER_TABLE, PAGE_SHIFT
 
-_PRESENT = np.uint64(int(PteFlags.PRESENT))
-_RW = np.uint64(int(PteFlags.RW))
-_NOT_RW = np.uint64(~int(PteFlags.RW) & 0xFFFF_FFFF_FFFF_FFFF)
-_REFERENCING = np.uint64(int(PteFlags.PRESENT) | int(PteFlags.SPECIAL))
+_PRESENT = np.uint64(PTE_PRESENT)
+_RW = np.uint64(PTE_RW)
+_NOT_RW = np.uint64(~PTE_RW & 0xFFFF_FFFF_FFFF_FFFF)
+_REFERENCING = np.uint64(PTE_PRESENT | PTE_SPECIAL)
 #: Bits whose change moves an entry in/out of the cached index sets.
-_MEMBERSHIP_BITS = int(PteFlags.PRESENT) | int(PteFlags.SPECIAL)
+_MEMBERSHIP_BITS = PTE_PRESENT | PTE_SPECIAL
 _PAGE_SHIFT = np.uint64(PAGE_SHIFT)
 #: Flag updates touching only these bits are atomic RMWs to the race
 #: detector (the hardware walker's ACCESSED/DIRTY maintenance).
-_AD_BITS = int(PteFlags.ACCESSED) | int(PteFlags.DIRTY)
+_AD_BITS = PTE_ACCESSED | PTE_DIRTY
 
 
 class PteTable:
@@ -81,20 +82,27 @@ class PteTable:
         """Raw PTE value at ``index`` (0 when never set)."""
         if self._entries is None:
             return 0
-        return int(self._entries[index])
+        return self._entries.item(index)
 
     def set(self, index: int, value: int) -> None:
         """Store a raw PTE value, maintaining the present counter."""
         if hooks.ACCESS_HOOKS:
             hooks.notify_access("write", "pte", self.page.frame)
-        self._store(index, value)
+        self._store(index, int(value))
 
     def _store(self, index: int, value: int) -> None:
-        entries = self._materialize()
-        old = int(entries[index])
-        entries[index] = np.uint64(value)
-        self.present_count += int(pte_present(value)) - int(pte_present(old))
-        if (old ^ int(value)) & _MEMBERSHIP_BITS:
+        """Store plain-int ``value``; a no-op when the word is unchanged."""
+        entries = self._entries
+        if entries is None:
+            entries = self._materialize()
+        old = entries.item(index)
+        if old == value:
+            return
+        entries[index] = value
+        if (old ^ value) & _MEMBERSHIP_BITS:
+            self.present_count += bool(value & PTE_PRESENT) - bool(
+                old & PTE_PRESENT
+            )
             self._invalidate()
 
     def clear(self, index: int) -> int:
@@ -104,19 +112,21 @@ class PteTable:
             self.set(index, 0)
         return old
 
-    def add_flags(self, index: int, flags: PteFlags) -> None:
+    def add_flags(self, index: int, flags: int) -> None:
         """Set flag bits on one entry."""
+        flags = int(flags)
         if hooks.ACCESS_HOOKS:
-            op = "atomic" if not (int(flags) & ~_AD_BITS) else "write"
+            op = "atomic" if not (flags & ~_AD_BITS) else "write"
             hooks.notify_access(op, "pte", self.page.frame)
-        self._store(index, pte_set_flags(self.get(index), flags))
+        self._store(index, self.get(index) | flags)
 
-    def remove_flags(self, index: int, flags: PteFlags) -> None:
+    def remove_flags(self, index: int, flags: int) -> None:
         """Clear flag bits on one entry."""
+        flags = int(flags)
         if hooks.ACCESS_HOOKS:
-            op = "atomic" if not (int(flags) & ~_AD_BITS) else "write"
+            op = "atomic" if not (flags & ~_AD_BITS) else "write"
             hooks.notify_access(op, "pte", self.page.frame)
-        self._store(index, pte_clear_flags(self.get(index), flags))
+        self._store(index, self.get(index) & ~flags)
 
     def entries(self) -> np.ndarray:
         """Read-only view of the raw entries (zeros if untouched).
@@ -232,17 +242,18 @@ class PteTable:
         self._entries[idx] = 0
         self._invalidate()
 
-    def clear_flags_present(self, flags: PteFlags) -> None:
+    def clear_flags_present(self, flags: int) -> None:
         """Remove ``flags`` from every present entry (WSS bit aging)."""
         if self._entries is None or self.present_count == 0:
             return
+        flags = int(flags)
         if hooks.ACCESS_HOOKS:
-            op = "atomic" if not (int(flags) & ~_AD_BITS) else "write"
+            op = "atomic" if not (flags & ~_AD_BITS) else "write"
             hooks.notify_access(op, "pte", self.page.frame)
-        keep = np.uint64(~int(flags) & 0xFFFF_FFFF_FFFF_FFFF)
+        keep = np.uint64(~flags & 0xFFFF_FFFF_FFFF_FFFF)
         idx = self.present_array()
         self._entries[idx] &= keep
-        if int(flags) & _MEMBERSHIP_BITS:  # pragma: no cover - not used
+        if flags & _MEMBERSHIP_BITS:  # pragma: no cover - not used
             self._invalidate()
 
     def copy_entries_from(self, other: "PteTable") -> None:

@@ -21,9 +21,11 @@ from repro.mem import checkpoints as cp
 from repro.mem.address_space import AddressSpace
 from repro.mem.directory import require_pte_table
 from repro.mem.flags import (
-    PteFlags,
+    FLAGS_MASK,
+    PTE_PRESENT,
+    PTE_SPECIAL,
+    PTE_SWAP,
     make_pte,
-    pte_flags,
     pte_frame,
     pte_present,
 )
@@ -65,7 +67,7 @@ def migrate_page(
     def references_frame(pte: int) -> bool:
         # A NUMA-poisoned entry (PROT_NONE hint) is not PRESENT but still
         # owns the frame; rmap-based migration updates those too.
-        return pte_present(pte) or bool(pte & int(PteFlags.SPECIAL))
+        return pte_present(pte) or bool(pte & PTE_SPECIAL)
 
     initiator = None
     old_frame = None
@@ -88,7 +90,7 @@ def migrate_page(
     # entry.  Async-fork's child copier takes the same lock, so a copy in
     # flight serializes with the migration (Table 2's argument).
     touched_tables = []
-    updated_slots: list[tuple[object, PteFlags]] = []
+    updated_slots: list[tuple[object, int]] = []
 
     def invalidate(mm: AddressSpace) -> bool:
         leaf = mm.page_table.walk_pte_table(vaddr)
@@ -108,10 +110,10 @@ def migrate_page(
                 )
             touched_tables.append(leaf)
         # Step 2: set "none present", preserving flags for restoration.
-        original_flags = pte_flags(pte)
+        original_flags = pte & FLAGS_MASK
         leaf.set(
             pte_index(vaddr),
-            make_pte(old_frame, original_flags & ~PteFlags.PRESENT),
+            make_pte(old_frame, original_flags & ~PTE_PRESENT),
         )
         # Step 3: flush this process's TLB entry.
         mm.tlb.flush_page(vaddr)
@@ -170,7 +172,7 @@ def change_prot_numa(mm: AddressSpace, start: int, end: int) -> int:
             frame = pte_frame(pte)
             if frame == 0:
                 continue
-            flags = (pte_flags(pte) & ~PteFlags.PRESENT) | PteFlags.SPECIAL
+            flags = (pte & FLAGS_MASK & ~PTE_PRESENT) | PTE_SPECIAL
             leaf.set(i, make_pte(frame, flags))
             mm.tlb.flush_page(vaddr)
             poisoned += 1
@@ -184,9 +186,9 @@ def restore_numa_pte(mm: AddressSpace, vaddr: int) -> int | None:
         return None
     idx = pte_index(vaddr)
     pte = leaf.get(idx)
-    if pte_present(pte) or not pte & int(PteFlags.SPECIAL):
+    if pte_present(pte) or not pte & PTE_SPECIAL:
         return None
-    flags = (pte_flags(pte) | PteFlags.PRESENT) & ~PteFlags.SPECIAL
+    flags = ((pte & FLAGS_MASK) | PTE_PRESENT) & ~PTE_SPECIAL
     frame = pte_frame(pte)
     leaf.set(idx, make_pte(frame, flags))
     return frame
@@ -233,7 +235,7 @@ def swap_out(
         pte = leaf.get(idx)
         if not (pte_present(pte) and pte_frame(pte) == old_frame):
             continue
-        flags = (pte_flags(pte) & ~PteFlags.PRESENT) | PteFlags.SWAP
+        flags = (pte & FLAGS_MASK & ~PTE_PRESENT) | PTE_SWAP
         leaf.set(idx, make_pte(slot, flags))
         mm.tlb.flush_page(vaddr)
         mm.rss -= 1

@@ -17,7 +17,7 @@ from typing import Optional
 from repro.analysis import hooks
 from repro.obs import tracer as obs
 from repro.obs.registry import MetricsRegistry
-from repro.units import page_align_down
+from repro.units import PAGE_MASK, PAGE_SIZE, page_align_down
 
 
 class Tlb:
@@ -70,16 +70,16 @@ class Tlb:
 
     def lookup(self, vaddr: int) -> Optional[int]:
         """Cached frame for the page of ``vaddr``, or ``None`` on miss."""
-        frame = self._entries.get(page_align_down(vaddr))
+        frame = self._entries.get(vaddr & PAGE_MASK)
         if frame is None:
-            self.misses += 1
+            self._misses.value += 1
         else:
-            self.hits += 1
+            self._hits.value += 1
         return frame
 
     def insert(self, vaddr: int, frame: int, writable: bool = False) -> None:
         """Cache a translation (called after a page-table walk)."""
-        page = page_align_down(vaddr)
+        page = vaddr & PAGE_MASK
         self._entries[page] = frame
         if writable:
             self._writable.add(page)
@@ -132,8 +132,6 @@ class Tlb:
         order — including the per-page ``flushes`` accounting the range
         shootdown IPIs stand in for.
         """
-        from repro.units import PAGE_SIZE
-
         lo = page_align_down(lo)
         npages = (hi - lo + PAGE_SIZE - 1) // PAGE_SIZE
         if npages <= 0:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT  # 4 KiB
+#: ``vaddr & PAGE_MASK`` rounds down to a page boundary.
+PAGE_MASK = ~(PAGE_SIZE - 1)
 
 ENTRIES_PER_TABLE = 512
 TABLE_SHIFT = 9  # log2(ENTRIES_PER_TABLE)
@@ -123,7 +125,7 @@ def pte_index(vaddr: int) -> int:
 
 def page_align_down(vaddr: int) -> int:
     """Round an address down to a page boundary."""
-    return vaddr & ~(PAGE_SIZE - 1)
+    return vaddr & PAGE_MASK
 
 
 def page_align_up(vaddr: int) -> int:

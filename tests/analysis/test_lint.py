@@ -169,6 +169,93 @@ class TestPteLoop:
         assert rules(src, self.HOT) == []
 
 
+class TestEnumFlag:
+    HOT = "src/repro/mem/address_space.py"
+    IMPORT = "from repro.mem.flags import PteFlags\n"
+
+    def body(self, line: str) -> str:
+        return f"{self.IMPORT}def f(pte):\n    {line}\n"
+
+    def test_or_in_function_body(self):
+        src = self.body("return PteFlags.RW | PteFlags.DIRTY")
+        assert rules(src, self.HOT) == ["enum-flag"]
+
+    def test_and_with_int_operand(self):
+        src = self.body("return pte & PteFlags.PRESENT")
+        assert rules(src, self.HOT) == ["enum-flag"]
+
+    def test_invert(self):
+        src = self.body("return ~PteFlags.RW")
+        assert rules(src, self.HOT) == ["enum-flag"]
+
+    def test_one_finding_per_expression(self):
+        src = self.body(
+            "return (pte | PteFlags.PRESENT) & ~PteFlags.SWAP"
+        )
+        assert rules(src, self.HOT) == ["enum-flag"]
+
+    def test_augmented_assignment(self):
+        src = self.body("pte &= ~PteFlags.RW")
+        assert rules(src, self.HOT) == ["enum-flag"]
+
+    def test_enum_construction_call(self):
+        src = self.body("return PteFlags(pte & 0xFFF)")
+        assert rules(src, self.HOT) == ["enum-flag"]
+
+    def test_module_alias_resolves(self):
+        src = (
+            "from repro.mem import flags\n"
+            "def f(pte):\n    return pte & flags.PteFlags.RW\n"
+        )
+        assert rules(src, self.HOT) == ["enum-flag"]
+
+    def test_lambda_body(self):
+        src = self.IMPORT + "f = lambda pte: pte & PteFlags.RW\n"
+        assert rules(src, self.HOT) == ["enum-flag"]
+
+    def test_module_level_constants_are_fine(self):
+        src = (
+            self.IMPORT
+            + "_WRITE = int(PteFlags.RW | PteFlags.DIRTY)\n"
+            + "_NOT_RW = ~int(PteFlags.RW)\n"
+            + "class K:\n    BITS = PteFlags.RW | PteFlags.PRESENT\n"
+        )
+        assert rules(src, self.HOT) == []
+
+    def test_int_masks_and_member_references_are_fine(self):
+        src = (
+            "from repro.mem.flags import PTE_RW, PteFlags\n"
+            "def f(pte):\n"
+            "    show = PteFlags.RW\n"
+            "    return pte & PTE_RW, show\n"
+        )
+        assert rules(src, self.HOT) == []
+
+    def test_cold_module_is_not_flagged(self):
+        src = self.body("return PteFlags.RW | PteFlags.DIRTY")
+        assert rules(src, "src/repro/analysis/oracle.py") == []
+        assert rules(src, "tests/mem/test_x.py") == []
+
+    def test_every_hot_module_suffix_matches(self):
+        from repro.analysis.lint import _PTE_HOT_MODULES
+
+        src = self.body("return PteFlags.RW | PteFlags.DIRTY")
+        for suffix in _PTE_HOT_MODULES:
+            assert rules(src, f"src/repro/{suffix}") == ["enum-flag"], suffix
+
+    def test_allow_pragma_suppresses(self):
+        src = self.body(
+            "return PteFlags(pte & 0xFFF)  # lint: allow(enum-flag)"
+        )
+        assert rules(src, self.HOT) == []
+
+    def test_pragma_is_rule_specific(self):
+        src = self.body(
+            "return PteFlags(pte & 0xFFF)  # lint: allow(pte-loop)"
+        )
+        assert rules(src, self.HOT) == ["enum-flag"]
+
+
 class TestPragmaAndOutput:
     def test_allow_pragma_suppresses(self):
         src = "import time\nx = time.time()  # lint: allow(wall-clock)\n"

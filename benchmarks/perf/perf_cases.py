@@ -27,6 +27,13 @@ The micro cases model the paper's hot operations:
     In-place SET overwrites through :meth:`KvStore.set` on present,
     writable pages — the parent's per-write cost outside a snapshot
     window (one page-table walk per access).
+``wire_parse``
+    One read of 64 pipelined SETs through the live wire's
+    :class:`~repro.net.protocol.StreamParser` (feed + parse to values).
+``wire_dispatch``
+    The same 64 parsed SETs through ``NetSession.dispatch`` →
+    ``CommandServer`` → ``KvEngine`` with a ``ClockBridge`` installed:
+    the per-command layers above the engine plus the engine's SET.
 
 The macro cases regenerate experiment points:
 
@@ -75,6 +82,8 @@ PINNED = {
     "micro.fault_storm": "1024 first-touch write faults (4 MiB VMA)",
     "micro.tlb_flush": "2 MiB TLB range shootdown, warm TLB",
     "micro.set_path": "2048 in-place SET overwrites on present pages",
+    "micro.wire_parse": "one 64-SET pipelined read through StreamParser",
+    "micro.wire_dispatch": "64 parsed SETs through NetSession.dispatch",
     "macro.fig3_fork": "functional default fork, profile-scaled RSS",
     "macro.async_drain": "async fork + full child-copy drain",
     "macro.fig45_point": "fig4/5 latency point, default fork @ 1 GiB",
@@ -218,6 +227,75 @@ def op_set_path(store, order):
     return len(order)
 
 
+#: The wire benchmark's pipeline depth.
+WIRE_DEPTH = 64
+WIRE_KEYS = 4096
+
+
+def wire_pipeline() -> bytes:
+    """One read's worth of pipelined SETs, as ``wire-setpipe`` sends."""
+    from repro.net.protocol import encode_command
+
+    return b"".join(
+        encode_command(b"SET", b"key:%012d" % (i * 7 % WIRE_KEYS), KV_VALUE)
+        for i in range(WIRE_DEPTH)
+    )
+
+
+def setup_wire_parse():
+    return (wire_pipeline(),), {}
+
+
+def op_wire_parse(data):
+    from repro.net.protocol import StreamParser
+
+    parser = StreamParser()
+    parser.feed(data)
+    return len(list(parser))
+
+
+class _WireDispatchState:
+    """One served engine (bridge installed) and 64 parsed SETs."""
+
+    def __init__(self) -> None:
+        from repro.net.app import ServerConfig, build_backend
+        from repro.net.bridge import ClockBridge
+        from repro.net.core import NetSession
+        from repro.net.protocol import StreamParser
+
+        backend = build_backend(ServerConfig(keys=WIRE_KEYS, sim_size_gb=0.0))
+        self.bridge = ClockBridge(
+            backend.engine.clock, sleep=lambda _s: None
+        ).install()
+        self.session = NetSession(backend)
+        self.process = backend.engine.process
+        parser = StreamParser()
+        parser.feed(wire_pipeline())
+        self.commands = list(parser)
+        # First overwrite resizes the startup values; later rounds are
+        # steady-state in-place SETs.
+        op_wire_dispatch(self.session, self.commands, self.process)
+
+
+_WIRE_DISPATCH: _WireDispatchState | None = None
+
+
+def setup_wire_dispatch():
+    global _WIRE_DISPATCH
+    if _WIRE_DISPATCH is None:
+        _WIRE_DISPATCH = _WireDispatchState()
+    state = _WIRE_DISPATCH
+    return (state.session, state.commands, state.process), {}
+
+
+def op_wire_dispatch(session, commands, process):
+    # ``process`` rides along so ``sim_allocs`` finds its allocator.
+    dispatch = session.dispatch
+    for command in commands:
+        dispatch(command)
+    return len(commands)
+
+
 # ---------------------------------------------------------------------------
 # macro cases
 # ---------------------------------------------------------------------------
@@ -358,6 +436,8 @@ CASES = {
     "micro.fault_storm": (setup_fault_storm, op_fault_storm, 10, False),
     "micro.tlb_flush": (setup_tlb_flush, op_tlb_flush, 20, False),
     "micro.set_path": (setup_set_path, op_set_path, 20, False),
+    "micro.wire_parse": (setup_wire_parse, op_wire_parse, 50, False),
+    "micro.wire_dispatch": (setup_wire_dispatch, op_wire_dispatch, 50, False),
     "macro.fig3_fork": (setup_fig3_fork, op_fig3_fork, 5, True),
     "macro.async_drain": (setup_async_drain, op_async_drain, 5, True),
     "macro.fig45_point": (setup_fig45_point, op_fig45_point, 3, True),

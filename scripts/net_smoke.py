@@ -9,7 +9,10 @@ For each fork engine this script:
 2. drives it with the same paced asyncio load loop as the ``figx-live``
    experiment — concurrent GET/SET workers plus a periodic ``BGSAVE``
    snapshotter — and records client-observed wall-clock latencies;
-3. sends ``SHUTDOWN`` and asserts the server exits cleanly (code 0).
+3. sends a 70 KiB line with no CRLF on one connection, which must be
+   answered ``-ERR Protocol error`` and closed while a concurrent
+   connection's ``SET``/``GET`` still succeed (hostile framing);
+4. sends ``SHUTDOWN`` and asserts the server exits cleanly (code 0).
 
 It then asserts the paper's headline result on the wire: the default
 fork's p99 **and** max latency exceed Async-fork's.  Per-engine
@@ -73,10 +76,47 @@ def read_ready(ready_file: str, proc, timeout_s: float = 20.0):
     raise TimeoutError("repro-serve never wrote its ready file")
 
 
+#: Longer than the server's 64 KiB cap on an unterminated line.
+HOSTILE_LINE = b"x" * (70 * 1024)
+
+
+async def hostile_framing(host: str, port: int) -> list[str]:
+    """Send an unterminated 70 KiB line; returns what went wrong."""
+    from repro.kvs.resp import RespError
+    from repro.net.client import AsyncRespClient
+
+    problems = []
+    hostile = await AsyncRespClient.connect(host, port)
+    other = await AsyncRespClient.connect(host, port)
+    try:
+        await hostile.send_raw(HOSTILE_LINE)
+        try:
+            reply = await asyncio.wait_for(hostile.read_reply(), 10)
+        except asyncio.TimeoutError:
+            problems.append("hostile line got no reply in 10 s")
+        else:
+            if not (isinstance(reply, RespError)
+                    and reply.message.startswith("ERR Protocol error")):
+                problems.append(f"hostile line answered {reply!r}")
+            try:
+                await asyncio.wait_for(hostile.execute("PING"), 10)
+            except ConnectionError:
+                pass
+            else:
+                problems.append("hostile connection left open")
+        await other.execute("SET", "smoke:hostile", "still-served")
+        if await other.execute("GET", "smoke:hostile") != b"still-served":
+            problems.append("concurrent SET/GET lost its value")
+    finally:
+        await hostile.close()
+        await other.close()
+    return problems
+
+
 async def smoke_engine(
     engine: str, duration_s: float, max_runtime_s: float
-) -> tuple[LoadStats, int]:
-    """One engine's full lifecycle; returns (load stats, exit code)."""
+) -> tuple[LoadStats, list[str], int]:
+    """One engine's full lifecycle; returns (stats, problems, exit code)."""
     with tempfile.TemporaryDirectory() as tmp:
         ready_file = os.path.join(tmp, "ready")
         proc = launch_server(engine, ready_file, max_runtime_s)
@@ -86,6 +126,7 @@ async def smoke_engine(
             stats = await drive_load(
                 host, port, duration_s, keys=512
             )
+            problems = await hostile_framing(host, port)
             # Clean shutdown: SHUTDOWN drops the connection without a
             # reply; the server must exit 0 on its own.
             from repro.net.client import AsyncRespClient
@@ -101,7 +142,7 @@ async def smoke_engine(
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-        return stats, code
+        return stats, problems, code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -121,9 +162,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     rows = {}
+    hostile: dict[str, list[str]] = {}
     for engine in ENGINES:
         print(f"== {engine}: launching repro-serve ==", flush=True)
-        stats, code = asyncio.run(
+        stats, problems, code = asyncio.run(
             smoke_engine(engine, args.duration, args.max_runtime)
         )
         p50 = stats.percentile(0.50)
@@ -131,10 +173,12 @@ def main(argv: list[str] | None = None) -> int:
         mx = max(stats.latencies_ms)
         rows[engine] = (len(stats.latencies_ms), p50, p99, mx,
                         stats.bgsaves, code)
+        hostile[engine] = problems
         print(
             f"   {engine}: n={len(stats.latencies_ms)} p50={p50:.2f}ms "
             f"p99={p99:.2f}ms max={mx:.2f}ms bgsaves={stats.bgsaves} "
-            f"exit={code}",
+            f"exit={code} hostile-line="
+            f"{'ok' if not problems else 'FAIL'}",
             flush=True,
         )
 
@@ -156,6 +200,7 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(f"{engine}: only {n} samples")
         if bg < 1:
             failures.append(f"{engine}: no BGSAVE completed")
+        failures.extend(f"{engine}: {p}" for p in hostile[engine])
     if failures:
         for failure in failures:
             print(f"FAIL {failure}", file=sys.stderr)

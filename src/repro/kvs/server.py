@@ -83,10 +83,6 @@ class CommandServer:
         #: Optional hook returning extra ``INFO`` fields; the
         #: replication layer attaches its role/offset/link section here.
         self.info_extra: Optional[Callable[[], dict]] = None
-        #: Optional observation hook ``fn(name, args)`` fired for every
-        #: dispatched command (after cron, before the handler) — the net
-        #: layer meters per-command wire traffic through it.
-        self.on_command: Optional[Callable] = None
         self._handlers: dict[bytes, Callable] = {
             b"PING": self._ping,
             b"ECHO": self._echo,
@@ -140,12 +136,13 @@ class CommandServer:
         if not isinstance(command, list) or not command:
             return RespError("ERR protocol: expected a command array")
         first = command[0]
-        if not isinstance(first, (bytes, bytearray)):
+        if type(first) is bytes:
+            name = first.upper()
+        elif isinstance(first, (bytes, bytearray)):
+            name = bytes(first).upper()
+        else:
             return RespError("ERR protocol: command name must be a string")
-        name = bytes(first).upper()
         handler = self._handlers.get(name)
-        if self.on_command is not None:
-            self.on_command(name, command[1:])
         if handler is None:
             shown = name.decode("utf-8", errors="backslashreplace")
             return RespError(f"ERR unknown command '{shown}'")
@@ -190,6 +187,8 @@ class CommandServer:
             job.step_child()
             if job.failed or job.child_copy_done:
                 self._reap(job)
+            return
+        if not self.save_points:
             return
         elapsed = self.engine.clock.now - self._last_save_ns
         dirty = self.engine.store.dirty_since_save
@@ -288,7 +287,8 @@ class CommandServer:
         return bytes(args[0])
 
     def _set(self, args) -> RespValue:
-        self._arity(args, 2, "set")
+        if len(args) != 2:
+            self._arity(args, 2, "set")
         self.engine.set(bytes(args[0]), bytes(args[1]))
         return OK
 

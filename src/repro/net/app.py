@@ -33,7 +33,12 @@ from repro.kvs.resp import RespError
 from repro.kvs.server import CommandServer, SavePoint
 from repro.net.bridge import ClockBridge
 from repro.net.core import NetSession, SessionClosed, ShutdownRequested
-from repro.net.protocol import StreamParser, WireProtocolError, encode
+from repro.net.protocol import (
+    INCOMPLETE,
+    StreamParser,
+    WireProtocolError,
+    encode,
+)
 from repro.obs import tracer as obs
 from repro.obs.registry import MetricsRegistry
 from repro.units import PAGES_PER_GIB
@@ -215,7 +220,6 @@ class ReproServer:
         self._writers: set[asyncio.StreamWriter] = set()
         self.shutdown_event = asyncio.Event()
         self._watchdog: Optional[threading.Timer] = None
-        backend.on_command = self._on_command
         self._chain_info(backend)
 
     # ------------------------------------------------------------------
@@ -281,9 +285,6 @@ class ReproServer:
     # observation
     # ------------------------------------------------------------------
 
-    def _on_command(self, name: bytes, args) -> None:
-        self._commands.inc()
-
     def _chain_info(self, backend: CommandServer) -> None:
         previous = backend.info_extra
 
@@ -320,6 +321,9 @@ class ReproServer:
             wait_provider=self.wait_provider,
         )
         parser = StreamParser()
+        dispatch = session.dispatch
+        stall = self.bridge.stall
+        count_command = self._commands.inc
         self._accepted.inc()
         self._active.set(self._active.value + 1)
         self._writers.add(writer)
@@ -336,12 +340,18 @@ class ReproServer:
                 out = bytearray()
                 closing = False
                 try:
-                    for command in parser:
-                        reply = session.dispatch(command)
+                    while True:
+                        command = parser.parse_one()
+                        if command is INCOMPLETE:
+                            break
+                        reply = dispatch(command)
+                        # Counted once it has run, as Redis's
+                        # stat_numcommands is.
+                        count_command()
                         # The stall is synchronous on purpose: the
                         # serving thread is "in the kernel", so every
                         # connection on this loop waits it out.
-                        self.bridge.stall()
+                        stall()
                         out += encode(reply, session.proto)
                 except WireProtocolError as exc:
                     self._proto_errors.inc()

@@ -91,21 +91,24 @@ class NetSession:
         if not isinstance(command, list) or not command:
             return RespError("ERR protocol: expected a command array")
         first = command[0]
-        if not isinstance(first, (bytes, bytearray)):
+        if type(first) is bytes:
+            name = first.upper()
+        elif isinstance(first, (bytes, bytearray)):
+            name = bytes(first).upper()
+        else:
             return RespError("ERR protocol: command name must be a string")
-        name = bytes(first).upper()
         handler = self._net_handlers.get(name)
-        if handler is not None:
-            try:
-                return handler([bytes(a) if isinstance(a, (bytes, bytearray))
-                                else a for a in command[1:]])
-            except RespError as err:
-                return err
-        if name == b"CLUSTER" and not self._backend_handles(b"CLUSTER"):
+        if handler is None:
+            if name != b"CLUSTER" or self._backend_handles(name):
+                return self.backend.handle(command)
             # Standalone passthrough: answer the one subcommand clients
             # probe with, reject the rest like a non-cluster Redis.
             return self._standalone_cluster(command[1:])
-        return self.backend.handle(command)
+        try:
+            return handler([bytes(a) if isinstance(a, (bytes, bytearray))
+                            else a for a in command[1:]])
+        except RespError as err:
+            return err
 
     def _backend_handles(self, name: bytes) -> bool:
         return name in getattr(self.backend, "_handlers", {})

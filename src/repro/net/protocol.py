@@ -148,6 +148,13 @@ class StreamParser:
         for value in parser:
             ...
 
+    Bytes stay in one ``bytearray`` and are parsed in place at a read
+    offset; ``feed`` drops the consumed prefix once per call.  A request
+    array (``*`` of ``$`` bulks, what every client sends) is read by one
+    flat loop that resumes where the previous call ran out of bytes, so
+    a pipeline or a request torn across reads is scanned once: parse
+    cost is linear in the bytes received.
+
     Framing violations raise :class:`WireProtocolError`; anything else
     escaping the parser is a bug (the fuzz tests enforce this).  After a
     protocol error the connection is unsalvageable — the server closes
@@ -156,12 +163,21 @@ class StreamParser:
 
     def __init__(self) -> None:
         self._buffer = bytearray()
+        #: Start of the first unconsumed byte in ``_buffer``.
+        self._pos = 0
+        #: ``(items, count, offset)`` of a request array that ran out of
+        #: bytes: its elements so far, its length, and where its next
+        #: element starts relative to ``_pos``.
+        self._partial: Optional[tuple[list, int, int]] = None
         self.values_parsed = 0
         self.bytes_consumed = 0
 
     def feed(self, data: bytes) -> None:
         """Append raw bytes from the wire."""
-        self._buffer.extend(data)
+        if self._pos:
+            del self._buffer[: self._pos]
+            self._pos = 0
+        self._buffer += data
 
     def __iter__(self) -> Iterator:
         while True:
@@ -171,50 +187,142 @@ class StreamParser:
             yield value
 
     def parse_one(self):
-        """One complete value, or the ``_INCOMPLETE`` sentinel."""
-        try:
-            result, consumed = _parse(bytes(self._buffer), 0, 0)
-        except WireProtocolError:
-            raise
-        except ProtocolError as exc:
-            raise WireProtocolError(str(exc)) from None
+        """One complete value, or the ``INCOMPLETE`` sentinel."""
+        buf = self._buffer
+        start = self._pos
+        if self._partial is not None or (
+            start < len(buf) and buf[start] == _ARRAY
+        ):
+            result, end = self._parse_request(buf, start)
+        else:
+            result, end = _parse(buf, start, 0)
         if result is _INCOMPLETE:
             return _INCOMPLETE
-        del self._buffer[:consumed]
+        self._pos = end
         self.values_parsed += 1
-        self.bytes_consumed += consumed
+        self.bytes_consumed += end - start
         return result
+
+    def _parse_request(self, buf: bytearray, start: int):
+        """A top-level ``*`` frame; ``$`` elements inline, others recurse.
+
+        Elements sit at depth 1, so the flat loop never reaches
+        ``MAX_DEPTH``; nested elements go through :func:`_parse` and
+        keep its depth accounting.
+        """
+        partial = self._partial
+        if partial is None:
+            line_end = buf.find(CRLF, start + 1)
+            if line_end < 0:
+                _check_unterminated(buf, start + 1, b"*")
+                return _INCOMPLETE, start
+            count = _parse_count(buf[start + 1 : line_end], "array length")
+            if count is None:
+                return None, line_end + 2
+            items: list = []
+            pos = line_end + 2
+        else:
+            self._partial = None
+            items, count, offset = partial
+            pos = start + offset
+        size = len(buf)
+        find = buf.find
+        append = items.append
+        for _ in range(count - len(items)):
+            if pos >= size:
+                break
+            if buf[pos] != _BULK:
+                item, after = _parse(buf, pos, 1)
+                if item is _INCOMPLETE:
+                    break
+                append(item)
+                pos = after
+                continue
+            line_end = find(CRLF, pos + 1)
+            if line_end < 0:
+                _check_unterminated(buf, pos + 1, b"$")
+                break
+            header = buf[pos + 1 : line_end]
+            try:
+                length = int(header)
+            except ValueError:
+                raise WireProtocolError(
+                    f"bad bulk length {bytes(header)!r}"
+                ) from None
+            body = line_end + 2
+            if length == -1:
+                append(None)
+                pos = body
+                continue
+            if length < 0 or length > MAX_BULK_LEN:
+                raise WireProtocolError(f"bad bulk length {length}")
+            end = body + length
+            if size < end + 2:
+                break
+            if buf[end] != _CR or buf[end + 1] != _LF:
+                raise WireProtocolError("bulk string missing terminator")
+            append(bytes(buf[body:end]))
+            pos = end + 2
+        else:
+            return items, pos
+        self._partial = (items, count, pos - start)
+        return _INCOMPLETE, start
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered but not yet forming a complete value."""
-        return len(self._buffer)
+        return len(self._buffer) - self._pos
 
 
-def _find_line(data: bytes, pos: int) -> Optional[tuple[bytes, int]]:
+_ARRAY, _BULK, _CR, _LF = b"*$\r\n"
+
+#: Redis's ``PROTO_INLINE_MAX_SIZE``: a line still unterminated past
+#: this many bytes is hostile, whatever its kind.  Bulk *bodies* are
+#: framed by their length and stay under ``MAX_BULK_LEN``.
+MAX_LINE_LEN = 64 * 1024
+
+#: Redis's message for an over-long unterminated line, by line kind
+#: (``None`` is an inline command).
+_LINE_TOO_BIG = {
+    None: "too big inline request",
+    b"*": "too big mbulk count string",
+    b"%": "too big mbulk count string",
+    b"~": "too big mbulk count string",
+    b">": "too big mbulk count string",
+    b"$": "too big bulk count string",
+}
+
+
+def _check_unterminated(data: bytearray, pos: int,
+                        kind: Optional[bytes]) -> None:
+    if len(data) - pos > MAX_LINE_LEN:
+        raise WireProtocolError(_LINE_TOO_BIG.get(kind, "too big line"))
+
+
+def _find_line(data: bytearray, pos: int,
+               kind: Optional[bytes]) -> Optional[tuple[bytes, int]]:
     end = data.find(CRLF, pos)
     if end < 0:
-        if len(data) - pos > MAX_BULK_LEN:
-            raise WireProtocolError("unterminated line exceeds bulk limit")
+        _check_unterminated(data, pos, kind)
         return None
-    return data[pos:end], end + 2
+    return bytes(data[pos:end]), end + 2
 
 
-def _parse_int(line: bytes, what: str) -> int:
+def _parse_int(line, what: str) -> int:
     try:
         return int(line)
     except ValueError:
-        raise WireProtocolError(f"bad {what} {line!r}") from None
+        raise WireProtocolError(f"bad {what} {bytes(line)!r}") from None
 
 
-def _parse(data: bytes, pos: int, depth: int):
+def _parse(data: bytearray, pos: int, depth: int):
     if depth > MAX_DEPTH:
         raise WireProtocolError("aggregate nesting too deep")
     if pos >= len(data):
         return _INCOMPLETE, pos
-    kind = data[pos : pos + 1]
+    kind = bytes(data[pos : pos + 1])
     if kind in b"+-:$*_#,(%~>":
-        found = _find_line(data, pos + 1)
+        found = _find_line(data, pos + 1, kind)
         if found is None:
             return _INCOMPLETE, pos
         line, after = found
@@ -245,13 +353,13 @@ def _parse(data: bytes, pos: int, depth: int):
         # * and > share array framing.
         return _parse_array(data, line, after, depth, push=kind == b">")
     # Inline command: a bare line of space-separated words.
-    found = _find_line(data, pos)
+    found = _find_line(data, pos, None)
     if found is None:
         return _INCOMPLETE, pos
     line, after = found
     if not line.strip():
         raise WireProtocolError("empty inline command")
-    return [bytes(w) for w in line.split()], after
+    return line.split(), after
 
 
 def _parse_double(line: bytes) -> float:
@@ -264,7 +372,7 @@ def _parse_double(line: bytes) -> float:
         raise WireProtocolError(f"bad double {line!r}") from None
 
 
-def _parse_bulk(data: bytes, header: bytes, pos: int):
+def _parse_bulk(data: bytearray, header: bytes, pos: int):
     length = _parse_int(header, "bulk length")
     if length == -1:
         return None, pos
@@ -275,7 +383,7 @@ def _parse_bulk(data: bytes, header: bytes, pos: int):
         return _INCOMPLETE, pos
     if data[end : end + 2] != CRLF:
         raise WireProtocolError("bulk string missing terminator")
-    return data[pos:end], end + 2
+    return bytes(data[pos:end]), end + 2
 
 
 def _parse_count(header: bytes, what: str) -> Optional[int]:
@@ -287,7 +395,7 @@ def _parse_count(header: bytes, what: str) -> Optional[int]:
     return count
 
 
-def _parse_array(data: bytes, header: bytes, pos: int, depth: int,
+def _parse_array(data: bytearray, header: bytes, pos: int, depth: int,
                  push: bool = False):
     count = _parse_count(header, "array length")
     if count is None:
@@ -313,7 +421,7 @@ def _hashable(value):
     return value
 
 
-def _parse_map(data: bytes, header: bytes, pos: int, depth: int):
+def _parse_map(data: bytearray, header: bytes, pos: int, depth: int):
     count = _parse_count(header, "map length")
     if count is None:
         raise WireProtocolError("null map frame")
@@ -329,7 +437,7 @@ def _parse_map(data: bytes, header: bytes, pos: int, depth: int):
     return items, pos
 
 
-def _parse_set(data: bytes, header: bytes, pos: int, depth: int):
+def _parse_set(data: bytearray, header: bytes, pos: int, depth: int):
     count = _parse_count(header, "set length")
     if count is None:
         raise WireProtocolError("null set frame")

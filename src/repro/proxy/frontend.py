@@ -5,7 +5,7 @@ CommandServer` so the PR 9 net layer (``NetSession``/``ReproServer``)
 serves it unchanged: ``repro-serve --proxy`` binds one TCP port whose
 backend fans out to a whole :class:`~repro.cluster.cluster.SimCluster`.
 The subclass keeps the base's wire interface (``feed``/``handle``,
-``on_command``, ``info_extra``) but replaces dispatch:
+``info_extra``) but replaces dispatch:
 
 * keyed commands route through :class:`~repro.proxy.core.ClusterProxy`
   (slot routing, MOVED/ASK following, per-tenant metering), so a live
@@ -79,8 +79,6 @@ class ProxyFrontend(CommandServer):
             for p in command
         ]
         name = parts[0].upper()
-        if self.on_command is not None:
-            self.on_command(name, parts[1:])
         local = self._local.get(name)
         try:
             if local is not None:

@@ -10,6 +10,7 @@ from repro.kvs.resp import RespError, SimpleString
 from repro.net.protocol import (
     INCOMPLETE,
     MAX_DEPTH,
+    MAX_LINE_LEN,
     Push,
     StreamParser,
     WireProtocolError,
@@ -245,6 +246,130 @@ class TestHostileInput:
         parser.feed(b"*1\r\n" * (MAX_DEPTH + 2))
         with pytest.raises(WireProtocolError, match="nesting"):
             parser.parse_one()
+
+
+class TestLineCap:
+    """An unterminated line is capped at 64 KiB (``PROTO_INLINE_MAX_SIZE``)."""
+
+    def test_cap_is_redis_inline_max(self):
+        assert MAX_LINE_LEN == 64 * 1024
+
+    @pytest.mark.parametrize(
+        "head, message",
+        [
+            (b"", "too big inline request"),
+            (b"*", "too big mbulk count string"),
+            (b"$", "too big bulk count string"),
+            (b"*1\r\n$", "too big bulk count string"),
+        ],
+    )
+    def test_one_byte_over_the_cap_raises(self, head, message):
+        parser = StreamParser()
+        parser.feed(head + b"1" * MAX_LINE_LEN)
+        assert parser.parse_one() is INCOMPLETE
+        assert parser.pending_bytes == len(head) + MAX_LINE_LEN
+        parser.feed(b"1")
+        with pytest.raises(WireProtocolError, match=message):
+            parser.parse_one()
+
+    def test_terminated_long_line_still_parses(self):
+        word = b"w" * (MAX_LINE_LEN + 10)
+        assert parse_value(b"ECHO " + word + b"\r\n") == [b"ECHO", word]
+
+    def test_large_bulk_in_small_chunks_parses(self):
+        payload = bytes(range(256)) * 4096  # 1 MiB: bodies are not lines
+        data = encode_command(b"SET", b"k", payload)
+        parser = StreamParser()
+        values = []
+        for i in range(0, len(data), 4096):
+            parser.feed(data[i : i + 4096])
+            values.extend(parser)
+        assert values == [[b"SET", b"k", payload]]
+        assert parser.pending_bytes == 0
+
+
+class CopyTally(bytearray):
+    """A parser buffer that counts the bytes copied out of it.
+
+    Slices and ``bytes(buffer)`` are the only ways the parser can copy
+    buffered bytes; ``find`` and single-byte indexing copy nothing.
+    """
+
+    copied = 0
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        if isinstance(key, slice):
+            CopyTally.copied += len(item)
+        return item
+
+    def __bytes__(self):
+        CopyTally.copied += len(self)
+        return bytes(memoryview(self))
+
+
+def copied_by(chunks) -> tuple[int, list]:
+    """Bytes copied out of the buffer while parsing ``chunks``."""
+    parser = StreamParser()
+    parser._buffer = CopyTally()
+    CopyTally.copied = 0
+    values = []
+    for chunk in chunks:
+        parser.feed(chunk)
+        values.extend(parser)
+    assert isinstance(parser._buffer, CopyTally)
+    return CopyTally.copied, values
+
+
+def set_pipeline(n: int) -> bytes:
+    return b"".join(
+        encode_command(b"SET", b"key:%012d" % i, b"v" * 64)
+        for i in range(n)
+    )
+
+
+class TestLinearity:
+    """Parse cost is linear in the bytes received (counted, not timed)."""
+
+    def test_copies_per_command_flat_with_pipeline_depth(self):
+        per_command = {}
+        for n in (1, 1000, 20000):
+            copied, values = copied_by([set_pipeline(n)])
+            assert len(values) == n
+            per_command[n] = copied / n
+        base = per_command[1]
+        for n, value in per_command.items():
+            assert abs(value - base) <= 0.01 * base, per_command
+
+    def test_8mib_bulk_in_64k_reads_copies_at_most_twice(self):
+        payload = b"x" * (8 * 1024 * 1024)
+        data = encode_command(b"SET", b"k", payload)
+        chunks = [data[i : i + 65536] for i in range(0, len(data), 65536)]
+        copied, values = copied_by(chunks)
+        assert values == [[b"SET", b"k", payload]]
+        assert copied <= 2 * len(payload)
+
+    def test_request_torn_across_many_reads_is_scanned_once(self):
+        # One MSET of 20k arguments arriving 4 KiB at a time: elements
+        # already parsed are not parsed (or copied) again on later reads.
+        args = [b"MSET"] + [b"k%06d" % i for i in range(20000)]
+        data = encode_command(*args)
+        chunks = [data[i : i + 4096] for i in range(0, len(data), 4096)]
+        copied, values = copied_by(chunks)
+        assert values == [args]
+        assert copied <= len(data)
+
+    def test_feed_compacts_the_consumed_prefix(self):
+        parser = StreamParser()
+        parser.feed(set_pipeline(3) + b"*1\r\n$4\r\nPI")
+        assert len(list(parser)) == 3
+        assert parser.pending_bytes == 10
+        parser.feed(b"NG\r\n")
+        assert len(parser._buffer) == 14
+        assert parser.parse_one() == [b"PING"]
+        assert parser.values_parsed == 4
+        assert parser.bytes_consumed == len(set_pipeline(3)) + 14
+        assert parser.pending_bytes == 0
 
 
 # --------------------------------------------------------------------------

@@ -203,6 +203,49 @@ class TestProtocolErrors:
         serve_and_run(server, scenario)
 
 
+    def test_unterminated_line_closes_only_that_connection(self):
+        server = make_server()
+
+        async def scenario(host, port):
+            hostile = await AsyncRespClient.connect(host, port)
+            other = await AsyncRespClient.connect(host, port)
+            await hostile.send_raw(b"a" * (70 * 1024))
+            reply = await asyncio.wait_for(hostile.read_reply(), 10)
+            assert isinstance(reply, RespError)
+            assert reply.message == (
+                "ERR Protocol error: too big inline request"
+            )
+            with pytest.raises(ConnectionError):
+                await hostile.execute("PING")
+            assert await other.execute("PING") == SimpleString(b"PONG")
+            await hostile.close()
+            await other.close()
+            return server._proto_errors.value
+
+        assert serve_and_run(server, scenario) == 1
+
+
+class TestInfoCounters:
+    def test_total_commands_counts_connection_commands(self):
+        server = make_server()
+
+        async def scenario(host, port):
+            client = await AsyncRespClient.connect(host, port)
+            replies = await client.pipeline(
+                [("HELLO", 3)] + [("SET", f"c{i}", "v") for i in range(3)]
+                + [("INFO",)]
+            )
+            # Counted after it runs: INFO sees itself only next time,
+            # and connection-scoped commands count like any other.
+            later = await client.pipeline([("CLIENT", "GETNAME"), ("INFO",)])
+            await client.close()
+            return replies[-1], later[-1]
+
+        first, later = serve_and_run(server, scenario)
+        assert b"total_commands_processed:4\r\n" in first
+        assert b"total_commands_processed:6\r\n" in later
+
+
 class TestShutdown:
     def test_shutdown_command_stops_server(self):
         server = make_server()

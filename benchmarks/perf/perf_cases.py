@@ -60,6 +60,11 @@ The macro cases regenerate experiment points:
 ``rdb_dump``
     One ``SnapshotJob.finish`` (remaining child copy + RDB dump) of a
     16k-key engine under Async-fork: the child-side keyspace read.
+``wire_loopback``
+    2000 unpipelined GET round trips over a blocking loopback socket to
+    a ``ReproServer`` (async engine, 4096 keys of 512 B) serving from
+    its own thread: every layer of the live wire, socket read and event
+    loop included, one command per read.
 """
 
 from __future__ import annotations
@@ -91,6 +96,7 @@ PINNED = {
     "macro.fig45_sweep_scalar": "fig4/5 sweep on the scalar reference loops",
     "macro.cluster_round": "one figx-cluster run (default, staggered)",
     "macro.rdb_dump": "BGSAVE finish of a 16k-key engine (Async-fork)",
+    "macro.wire_loopback": "2000 GET round trips to a live ReproServer",
 }
 
 
@@ -425,6 +431,82 @@ def op_rdb_dump(engine, job):
     return job.finish()
 
 
+WIRE_LOOPBACK_GETS = 2000
+WIRE_LOOPBACK_VALUE = 512
+
+
+class _WireLoopbackState:
+    """A ``ReproServer`` serving from its own thread, and one client.
+
+    Started once per process and left running (a daemon thread idle in
+    its event loop) so each round times only the round trips.
+    """
+
+    def __init__(self) -> None:
+        import asyncio
+        import socket
+        import threading
+
+        from repro.net.app import ReproServer, ServerConfig, build_backend
+        from repro.net.bridge import ClockBridge
+        from repro.net.protocol import encode_command
+
+        config = ServerConfig(
+            engine="async", port=0, keys=WIRE_KEYS,
+            value_size=WIRE_LOOPBACK_VALUE,
+        )
+        backend = build_backend(config)
+        server = ReproServer(
+            backend, ClockBridge(backend.engine.clock), config
+        )
+        bound = threading.Event()
+        address: dict = {}
+
+        async def serve() -> None:
+            address["hp"] = await server.start()
+            bound.set()
+            await server.serve_until_shutdown()
+
+        threading.Thread(
+            target=asyncio.run, args=(serve(),), name="wire-loopback",
+            daemon=True,
+        ).start()
+        if not bound.wait(timeout=30.0):
+            raise RuntimeError("wire_loopback server failed to bind")
+        self.sock = socket.create_connection(address["hp"], timeout=30.0)
+        self.requests = [
+            encode_command(b"GET", b"key:%012d" % (i * 7 % WIRE_KEYS))
+            for i in range(WIRE_LOOPBACK_GETS)
+        ]
+
+
+_WIRE_LOOPBACK: _WireLoopbackState | None = None
+
+
+def setup_wire_loopback(profile: SimulationProfile):
+    # Fixed size whatever the profile.
+    global _WIRE_LOOPBACK
+    if _WIRE_LOOPBACK is None:
+        _WIRE_LOOPBACK = _WireLoopbackState()
+    return (_WIRE_LOOPBACK.sock, _WIRE_LOOPBACK.requests), {}
+
+
+def op_wire_loopback(sock, requests):
+    # Every reply is a startup value: "$512\r\n" + 512 bytes + "\r\n".
+    value = WIRE_LOOPBACK_VALUE
+    reply_len = len(b"$%d\r\n\r\n" % value) + value
+    send, recv = sock.sendall, sock.recv
+    for request in requests:
+        send(request)
+        need = reply_len
+        while need:
+            chunk = recv(need)
+            if not chunk:
+                raise ConnectionError("wire_loopback server closed")
+            need -= len(chunk)
+    return len(requests)
+
+
 # ---------------------------------------------------------------------------
 # the case table
 # ---------------------------------------------------------------------------
@@ -450,6 +532,7 @@ CASES = {
     ),
     "macro.cluster_round": (setup_cluster_round, op_cluster_round, 3, True),
     "macro.rdb_dump": (setup_rdb_dump, op_rdb_dump, 5, True),
+    "macro.wire_loopback": (setup_wire_loopback, op_wire_loopback, 10, True),
 }
 
 

@@ -12,7 +12,11 @@ For each fork engine this script:
 3. sends a 70 KiB line with no CRLF on one connection, which must be
    answered ``-ERR Protocol error`` and closed while a concurrent
    connection's ``SET``/``GET`` still succeed (hostile framing);
-4. sends ``SHUTDOWN`` and asserts the server exits cleanly (code 0).
+4. pipelines 16 MiB of ``GET`` on one connection and reads nothing for
+   a second, while a concurrent connection's ``SET``/``GET`` must still
+   be served; the slow connection then drains and must receive exactly
+   one reply per request (write backpressure);
+5. sends ``SHUTDOWN`` and asserts the server exits cleanly (code 0).
 
 It then asserts the paper's headline result on the wire: the default
 fork's p99 **and** max latency exceed Async-fork's.  Per-engine
@@ -113,10 +117,76 @@ async def hostile_framing(host: str, port: int) -> list[str]:
     return problems
 
 
+#: Bytes of pipelined GETs the slow reader sends before reading.
+SLOW_PIPELINE_BYTES = 16 * 1024 * 1024
+SLOW_KEY = b"smoke:slow"
+SLOW_VALUE = b"s" * 512
+
+
+async def slow_reader(host: str, port: int) -> list[str]:
+    """Pipeline GETs without reading; returns what went wrong."""
+    from repro.net.client import AsyncRespClient
+    from repro.net.protocol import encode_command
+
+    problems = []
+    other = await AsyncRespClient.connect(host, port)
+    await other.execute("SET", SLOW_KEY, SLOW_VALUE)
+    request = encode_command(b"GET", SLOW_KEY)
+    count = -(-SLOW_PIPELINE_BYTES // len(request))
+    reply = b"$%d\r\n%s\r\n" % (len(SLOW_VALUE), SLOW_VALUE)
+    expected = count * len(reply)
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(request * count)
+        await asyncio.sleep(1.0)
+        try:
+            await asyncio.wait_for(
+                other.execute("SET", "smoke:slow-other", "still-served"), 5
+            )
+            got = await asyncio.wait_for(
+                other.execute("GET", "smoke:slow-other"), 5
+            )
+        except asyncio.TimeoutError:
+            problems.append("concurrent SET/GET not served in 5 s")
+        else:
+            if got != b"still-served":
+                problems.append("concurrent SET/GET lost its value")
+        pattern = reply * ((1 << 20) // len(reply) + 2)
+        received = 0
+        while received < expected:
+            try:
+                chunk = await asyncio.wait_for(
+                    reader.read(min(1 << 20, expected - received)), 60
+                )
+            except asyncio.TimeoutError:
+                break
+            if not chunk:
+                break
+            offset = received % len(reply)
+            if chunk != pattern[offset:offset + len(chunk)]:
+                problems.append(f"slow reader got a wrong reply near "
+                                f"byte {received}")
+                break
+            received += len(chunk)
+        if received < expected:
+            problems.append(
+                f"slow reader got {received // len(reply)} of {count} "
+                "replies"
+            )
+    finally:
+        writer.close()
+        await other.close()
+    return problems
+
+
 async def smoke_engine(
     engine: str, duration_s: float, max_runtime_s: float
-) -> tuple[LoadStats, list[str], int]:
-    """One engine's full lifecycle; returns (stats, problems, exit code)."""
+) -> tuple[LoadStats, list[str], list[str], int]:
+    """One engine's full lifecycle.
+
+    Returns (stats, hostile-line problems, slow-reader problems, exit
+    code).
+    """
     with tempfile.TemporaryDirectory() as tmp:
         ready_file = os.path.join(tmp, "ready")
         proc = launch_server(engine, ready_file, max_runtime_s)
@@ -126,7 +196,8 @@ async def smoke_engine(
             stats = await drive_load(
                 host, port, duration_s, keys=512
             )
-            problems = await hostile_framing(host, port)
+            hostile = await hostile_framing(host, port)
+            slow = await slow_reader(host, port)
             # Clean shutdown: SHUTDOWN drops the connection without a
             # reply; the server must exit 0 on its own.
             from repro.net.client import AsyncRespClient
@@ -142,7 +213,7 @@ async def smoke_engine(
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-        return stats, problems, code
+        return stats, hostile, slow, code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -162,10 +233,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     rows = {}
-    hostile: dict[str, list[str]] = {}
+    problems: dict[str, list[str]] = {}
     for engine in ENGINES:
         print(f"== {engine}: launching repro-serve ==", flush=True)
-        stats, problems, code = asyncio.run(
+        stats, hostile, slow, code = asyncio.run(
             smoke_engine(engine, args.duration, args.max_runtime)
         )
         p50 = stats.percentile(0.50)
@@ -173,12 +244,13 @@ def main(argv: list[str] | None = None) -> int:
         mx = max(stats.latencies_ms)
         rows[engine] = (len(stats.latencies_ms), p50, p99, mx,
                         stats.bgsaves, code)
-        hostile[engine] = problems
+        problems[engine] = hostile + slow
         print(
             f"   {engine}: n={len(stats.latencies_ms)} p50={p50:.2f}ms "
             f"p99={p99:.2f}ms max={mx:.2f}ms bgsaves={stats.bgsaves} "
             f"exit={code} hostile-line="
-            f"{'ok' if not problems else 'FAIL'}",
+            f"{'ok' if not hostile else 'FAIL'} slow-reader="
+            f"{'ok' if not slow else 'FAIL'}",
             flush=True,
         )
 
@@ -200,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(f"{engine}: only {n} samples")
         if bg < 1:
             failures.append(f"{engine}: no BGSAVE completed")
-        failures.extend(f"{engine}: {p}" for p in hostile[engine])
+        failures.extend(f"{engine}: {p}" for p in problems[engine])
     if failures:
         for failure in failures:
             print(f"FAIL {failure}", file=sys.stderr)

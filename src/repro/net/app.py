@@ -3,11 +3,13 @@
 One :class:`ReproServer` serves one :class:`~repro.kvs.server.
 CommandServer` backend (plain or sharded) from a single event loop —
 the same single-threaded serving model as Redis.  Each accepted
-connection gets a :class:`~repro.net.core.NetSession` and an incremental
-:class:`~repro.net.protocol.StreamParser`; pipelined commands are
-dispatched in arrival order and their replies written back in one batch.
+connection is one :class:`asyncio.Protocol` with its own
+:class:`~repro.net.core.NetSession` and incremental
+:class:`~repro.net.protocol.StreamParser`; every socket read is served
+in one callback, which dispatches its pipelined commands in arrival
+order and writes their replies back in one batch.
 
-After every dispatched command the handler calls
+After every dispatched command the connection calls
 :meth:`~repro.net.bridge.ClockBridge.stall`, which *blocks* the event
 loop for the scaled duration of any simulated kernel-busy window the
 command incurred (a fork call, an ODF table fault, a proactive sync).
@@ -50,7 +52,12 @@ FORK_ENGINES: dict[str, Callable] = {
     "async": AsyncFork,
 }
 
-READ_CHUNK = 64 * 1024
+#: Redis's ``maxclients`` default: a connection beyond it is refused.
+MAX_CLIENTS = 10_000
+MAX_CLIENTS_REPLY = b"-ERR max number of clients reached\r\n"
+
+#: How long :meth:`ReproServer.stop` waits for connections to close.
+STOP_GRACE_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -209,6 +216,7 @@ class ReproServer:
         self.wait_provider = wait_provider
         self.metrics = MetricsRegistry(prefix="net")
         self._accepted = self.metrics.counter("conn.accepted")
+        self._rejected = self.metrics.counter("conn.rejected")
         self._closed = self.metrics.counter("conn.closed")
         self._active = self.metrics.gauge("conn.active")
         self._commands = self.metrics.counter("cmd.count")
@@ -217,7 +225,7 @@ class ReproServer:
         self._proto_errors = self.metrics.counter("errors.protocol")
         self._next_conn_id = 0
         self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: set[asyncio.StreamWriter] = set()
+        self._connections: set[_Connection] = set()
         self.shutdown_event = asyncio.Event()
         self._watchdog: Optional[threading.Timer] = None
         self._chain_info(backend)
@@ -229,8 +237,9 @@ class ReproServer:
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns the bound (host, port)."""
         self.bridge.install()
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.config.host, self.config.port
         )
         if self.config.max_runtime_s > 0:
             self._watchdog = threading.Timer(
@@ -261,17 +270,20 @@ class ReproServer:
             self._watchdog = None
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
             self._server = None
-        for writer in list(self._writers):
-            writer.close()
-        # Give the connection handlers a chance to observe EOF and
-        # return; tasks still pending at loop teardown get cancelled
-        # mid-read and asyncio logs spurious CancelledErrors.
-        for _ in range(100):
-            if not self._writers:
-                break
-            await asyncio.sleep(0.01)
+        for conn in list(self._connections):
+            conn.transport.close()
+        if self._connections:
+            # close() flushes queued replies before connection_lost.
+            await asyncio.wait(
+                [conn.lost for conn in self._connections],
+                timeout=STOP_GRACE_S,
+            )
+        for conn in list(self._connections):
+            # Replies still queued for a client that stopped reading.
+            conn.transport.abort()
+        # Aborted transports call connection_lost on the next iteration.
+        await asyncio.sleep(0)
         self.bridge.uninstall()
 
     @staticmethod
@@ -294,6 +306,7 @@ class ReproServer:
                 {
                     "connected_clients": int(self._active.value),
                     "total_connections_received": self._accepted.value,
+                    "rejected_connections": self._rejected.value,
                     "total_commands_processed": self._commands.value,
                     "net_bridge_stalls": self.bridge.metrics.get(
                         "stalls"
@@ -307,98 +320,123 @@ class ReproServer:
 
         backend.info_extra = net_info
 
-    # ------------------------------------------------------------------
-    # per-connection handler
-    # ------------------------------------------------------------------
 
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._next_conn_id += 1
-        session = NetSession(
-            self.backend,
-            conn_id=self._next_conn_id,
-            wait_provider=self.wait_provider,
+class _Connection(asyncio.Protocol):
+    """One client connection; each socket read is served in one callback.
+
+    The event loop calls :meth:`data_received` straight from its poll,
+    as Redis's ``ae`` loop calls its read handler: parse, dispatch,
+    stall and encode every complete command, then write all the
+    replies at once.  An exception escaping :meth:`data_received` (an
+    engine bug, not a client mistake) is logged by the transport, which
+    then closes this connection only.  EOF closes the transport (the
+    inherited ``eof_received``).
+    """
+
+    def __init__(self, server: ReproServer) -> None:
+        self.server = server
+        self.session: Optional[NetSession] = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        server = self.server
+        self.transport = transport
+        if server._active.value >= MAX_CLIENTS:
+            server._rejected.inc()
+            transport.write(MAX_CLIENTS_REPLY)
+            transport.close()
+            return
+        server._next_conn_id += 1
+        self.session = NetSession(
+            server.backend,
+            conn_id=server._next_conn_id,
+            wait_provider=server.wait_provider,
         )
-        parser = StreamParser()
+        self.parser = StreamParser()
+        self.lost = asyncio.get_running_loop().create_future()
+        self.start_sim_ns = server.backend.engine.clock.now
+        self.bytes_in = self.bytes_out = 0
+        server._accepted.inc()
+        server._active.set(server._active.value + 1)
+        server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        server = self.server
+        if server.shutdown_event.is_set():
+            return
+        self.bytes_in += len(data)
+        server._bytes_in.inc(len(data))
+        parser = self.parser
+        parser.feed(data)
+        session = self.session
         dispatch = session.dispatch
-        stall = self.bridge.stall
-        count_command = self._commands.inc
-        self._accepted.inc()
-        self._active.set(self._active.value + 1)
-        self._writers.add(writer)
-        start_sim_ns = self.backend.engine.clock.now
-        bytes_in = bytes_out = 0
+        stall = server.bridge.stall
+        count_command = server._commands.inc
+        out = bytearray()
+        closing = False
         try:
-            while not self.shutdown_event.is_set():
-                data = await reader.read(READ_CHUNK)
-                if not data:
+            while True:
+                command = parser.parse_one()
+                if command is INCOMPLETE:
                     break
-                bytes_in += len(data)
-                self._bytes_in.inc(len(data))
-                parser.feed(data)
-                out = bytearray()
-                closing = False
-                try:
-                    while True:
-                        command = parser.parse_one()
-                        if command is INCOMPLETE:
-                            break
-                        reply = dispatch(command)
-                        # Counted once it has run, as Redis's
-                        # stat_numcommands is.
-                        count_command()
-                        # The stall is synchronous on purpose: the
-                        # serving thread is "in the kernel", so every
-                        # connection on this loop waits it out.
-                        stall()
-                        out += encode(reply, session.proto)
-                except WireProtocolError as exc:
-                    self._proto_errors.inc()
-                    out += encode(
-                        RespError(f"ERR Protocol error: {exc}"),
-                        session.proto,
-                    )
-                    closing = True
-                except SessionClosed as exc:
-                    if exc.reply is not None:
-                        out += encode(exc.reply, session.proto)
-                    closing = True
-                except ShutdownRequested:
-                    # Redis closes without a reply and exits; the smoke
-                    # harness treats the dropped connection + exit code
-                    # 0 as the clean-shutdown signal.
-                    self.shutdown_event.set()
-                    break
-                if out:
-                    bytes_out += len(out)
-                    self._bytes_out.inc(len(out))
-                    writer.write(bytes(out))
-                    await writer.drain()
-                if closing:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            self._active.set(self._active.value - 1)
-            self._closed.inc()
-            if obs.ACTIVE:
-                obs.emit(
-                    f"net.conn.{session.conn_id}",
-                    obs.CAT_NET,
-                    start_sim_ns,
-                    self.backend.engine.clock.now,
-                    commands=session.commands,
-                    bytes_in=bytes_in,
-                    bytes_out=bytes_out,
-                    proto=session.proto,
-                )
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+                reply = dispatch(command)
+                # Counted once it has run, as Redis's stat_numcommands is.
+                count_command()
+                # The stall is synchronous on purpose: the serving
+                # thread is "in the kernel", so every connection on this
+                # loop waits it out.
+                stall()
+                out += encode(reply, session.proto)
+        except WireProtocolError as exc:
+            server._proto_errors.inc()
+            out += encode(
+                RespError(f"ERR Protocol error: {exc}"), session.proto
+            )
+            closing = True
+        except SessionClosed as exc:
+            if exc.reply is not None:
+                out += encode(exc.reply, session.proto)
+            closing = True
+        except ShutdownRequested:
+            # Redis closes without a reply and exits; the smoke harness
+            # treats the dropped connection + exit code 0 as the
+            # clean-shutdown signal.
+            server.shutdown_event.set()
+            self.transport.close()
+            return
+        if out:
+            self.bytes_out += len(out)
+            server._bytes_out.inc(len(out))
+            self.transport.write(out)
+        if closing:
+            self.transport.close()
+
+    # A full write buffer stops reading this connection until it drains,
+    # so a client that does not read its replies stops being read.
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self.session is None:
+            return  # refused in connection_made
+        server = self.server
+        server._connections.discard(self)
+        server._active.set(server._active.value - 1)
+        server._closed.inc()
+        self.lost.set_result(None)
+        if obs.ACTIVE:
+            obs.emit(
+                f"net.conn.{self.session.conn_id}",
+                obs.CAT_NET,
+                self.start_sim_ns,
+                server.backend.engine.clock.now,
+                commands=self.session.commands,
+                bytes_in=self.bytes_in,
+                bytes_out=self.bytes_out,
+                proto=self.session.proto,
+            )
 
 
 def serve(

@@ -11,11 +11,15 @@ note).
 from __future__ import annotations
 
 import asyncio
+import logging
+import socket
 import threading
+from asyncio import selector_events
 
 import pytest
 
 from repro.kvs.resp import RespError, SimpleString
+from repro.net import app
 from repro.net.app import (
     FORK_ENGINES,
     ReproServer,
@@ -25,6 +29,7 @@ from repro.net.app import (
 )
 from repro.net.bridge import ClockBridge
 from repro.net.client import AsyncRespClient, ReplyError
+from repro.net.protocol import encode_command
 
 #: Tiny, fast server config for functional tests: no cost emulation
 #: (sim_size_gb=0) and no wall stalls worth noticing.
@@ -244,6 +249,189 @@ class TestInfoCounters:
         first, later = serve_and_run(server, scenario)
         assert b"total_commands_processed:4\r\n" in first
         assert b"total_commands_processed:6\r\n" in later
+
+
+class TestConnections:
+    def test_connection_beyond_max_clients_is_refused(self, monkeypatch):
+        monkeypatch.setattr(app, "MAX_CLIENTS", 2)
+        server = make_server()
+
+        async def scenario(host, port):
+            first = await AsyncRespClient.connect(host, port)
+            second = await AsyncRespClient.connect(host, port)
+            # Both accepted before the third arrives.
+            for client in (first, second):
+                assert await client.execute("PING") == SimpleString(b"PONG")
+            third = await AsyncRespClient.connect(host, port)
+            reply = await asyncio.wait_for(third.read_reply(), 5)
+            assert isinstance(reply, RespError)
+            assert reply.message == "ERR max number of clients reached"
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(third.read_reply(), 5)
+            await third.close()
+            for client in (first, second):
+                assert await client.execute("PING") == SimpleString(b"PONG")
+            info = (await first.execute("INFO")).decode()
+            await first.close()
+            await second.close()
+            return info
+
+        info = serve_and_run(server, scenario)
+        assert "rejected_connections:1\r\n" in info
+        assert "connected_clients:2\r\n" in info
+        assert "total_connections_received:2\r\n" in info
+
+    def test_engine_bug_closes_only_that_connection(self, caplog):
+        server = make_server()
+        handle = server.backend.handle
+
+        def buggy_handle(command):
+            if command[0] == b"BOOM":
+                raise RuntimeError("engine bug")
+            return handle(command)
+
+        server.backend.handle = buggy_handle
+
+        async def scenario(host, port):
+            victim = await AsyncRespClient.connect(host, port)
+            other = await AsyncRespClient.connect(host, port)
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(victim.execute("BOOM"), 5)
+            await victim.close()
+            assert await other.execute("PING") == SimpleString(b"PONG")
+            info = (await other.execute("INFO")).decode()
+            await other.close()
+            return info
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            info = serve_and_run(server, scenario)
+        assert "connected_clients:1\r\n" in info
+        logged = [r.exc_info[1] for r in caplog.records if r.exc_info]
+        assert any(isinstance(e, RuntimeError) and str(e) == "engine bug"
+                   for e in logged)
+
+
+async def wait_until_stalled(server: ReproServer) -> int:
+    """Wait until the server stops taking bytes; returns bytes taken."""
+    seen = 0
+    for _ in range(100):
+        await asyncio.sleep(0.3)
+        now = server._bytes_in.value
+        if now and now == seen:
+            return now
+        seen = now
+    raise AssertionError("server never stopped reading")
+
+
+def send_in_background(sock: socket.socket, data: bytes) -> threading.Thread:
+    """``sock.sendall(data)`` on a daemon thread (it blocks on a stall)."""
+
+    def send() -> None:
+        try:
+            sock.sendall(data)
+        except OSError:
+            pass  # the server aborted the connection
+
+    thread = threading.Thread(target=send, daemon=True)
+    thread.start()
+    return thread
+
+
+class TestBackpressure:
+    """A client that pipelines but reads nothing stops being read."""
+
+    #: Requests sent: at least this many bytes of GET commands.
+    PIPELINE_BYTES = 32 * 1024 * 1024
+    #: The most reply bytes the server may queue for one connection.
+    WRITE_BUFFER_BOUND = 16 * 1024 * 1024
+
+    def test_unread_replies_bound_the_write_buffer(self, monkeypatch):
+        keys, value_size = 64, 512
+        server = make_server(keys=keys, value_size=value_size)
+        # Largest reply backlog any server transport holds after a write
+        # (the client side uses plain sockets, the PING client ~nothing).
+        peak = [0]
+        write = selector_events._SelectorSocketTransport.write
+
+        def tracking_write(transport, data):
+            write(transport, data)
+            peak[0] = max(peak[0], transport.get_write_buffer_size())
+
+        monkeypatch.setattr(
+            selector_events._SelectorSocketTransport, "write",
+            tracking_write,
+        )
+        gets = [encode_command(b"GET", b"key:%012d" % i)
+                for i in range(keys)]
+        count = -(-self.PIPELINE_BYTES // len(gets[0]))
+        pipeline = b"".join(gets[i % keys] for i in range(count))
+        # Every startup value is value_size zero bytes.
+        reply = b"$%d\r\n%s\r\n" % (value_size, bytes(value_size))
+        expected = count * len(reply)
+
+        def drain(sock: socket.socket) -> int:
+            """Read every reply, checking each byte; return bytes read."""
+            pattern = reply * ((1 << 20) // len(reply) + 2)
+            got = 0
+            while got < expected:
+                chunk = sock.recv(min(1 << 20, expected - got))
+                if not chunk:
+                    break
+                offset = got % len(reply)
+                assert chunk == pattern[offset:offset + len(chunk)]
+                got += len(chunk)
+            return got
+
+        async def scenario(host, port):
+            slow = socket.create_connection((host, port))
+            slow.settimeout(60)
+            sender = send_in_background(slow, pipeline)
+            try:
+                # Stalled: the server stops taking bytes before the end.
+                assert await wait_until_stalled(server) < len(pipeline)
+                other = await AsyncRespClient.connect(host, port)
+                pong = await asyncio.wait_for(other.execute("PING"), 1.0)
+                assert pong == SimpleString(b"PONG")
+                await other.close()
+                got = await asyncio.to_thread(drain, slow)
+                await asyncio.to_thread(sender.join, 60)
+                assert not sender.is_alive()
+                # Nothing beyond one reply per request is queued.
+                slow.sendall(b"PING\r\n")
+                tail = await asyncio.to_thread(slow.recv, 64)
+            finally:
+                slow.close()
+            return got, tail
+
+        got, tail = serve_and_run(server, scenario)
+        assert peak[0] <= self.WRITE_BUFFER_BOUND
+        assert got == expected
+        assert tail == b"+PONG\r\n"
+
+    def test_stop_aborts_a_connection_that_never_reads(self):
+        server = make_server(keys=64, value_size=512)
+        request = encode_command(b"GET", b"key:%012d" % 0)
+        pipeline = request * ((4 << 20) // len(request))
+
+        async def _main():
+            host, port = await server.start()
+            slow = socket.create_connection((host, port))
+            sender = send_in_background(slow, pipeline)
+            try:
+                await wait_until_stalled(server)
+                loop = asyncio.get_running_loop()
+                began = loop.time()
+                await server.stop()
+                elapsed = loop.time() - began
+            finally:
+                slow.close()
+            await asyncio.to_thread(sender.join, 10)
+            assert not sender.is_alive()
+            return elapsed, server._active.value, server._closed.value
+
+        elapsed, active, closed = asyncio.run(_main())
+        assert elapsed < app.STOP_GRACE_S + 1.0
+        assert (active, closed) == (0, 1)
 
 
 class TestShutdown:

@@ -49,10 +49,10 @@ The macro cases regenerate experiment points:
 ``fig45_sweep`` / ``fig45_sweep_scalar``
     A full fig4/5 sweep regeneration (three sizes x three methods) on
     the vectorized timelines and, as the speedup evidence, the same
-    sweep forced onto the scalar reference loops
-    (``force_scalar_timeline``).  The two produce byte-identical
-    figures — the fixture tests pin that — so their median ratio is a
-    pure measure of the prefix-scan rewrite.
+    sweep on the scalar reference loop (``_run_scalar``, reached by
+    patching ``snapshot_vec.try_vectorized`` to decline).  The two
+    produce byte-identical figures — the fixture tests pin that — so
+    their median ratio is a pure measure of the prefix-scan rewrite.
 ``cluster_round``
     One figx-cluster run (default fork, staggered policy): the
     per-shard ``free_at`` + machine-wide ``kernel_busy`` solve under a
@@ -392,14 +392,15 @@ def op_fig45_sweep(scaled: SimulationProfile):
 
 
 def op_fig45_sweep_scalar(scaled: SimulationProfile):
-    from repro.experiments import fig04_05_def_latency
-    from repro.workload.openloop import force_scalar_timeline
+    from unittest import mock
 
-    force_scalar_timeline(True)
-    try:
+    from repro.experiments import fig04_05_def_latency
+    from repro.sim import snapshot_vec
+
+    with mock.patch.object(
+        snapshot_vec, "try_vectorized", lambda runner: None
+    ):
         return fig04_05_def_latency.run(scaled)
-    finally:
-        force_scalar_timeline(False)
 
 
 def setup_cluster_round(profile: SimulationProfile):

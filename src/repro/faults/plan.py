@@ -119,7 +119,8 @@ class FaultSpec:
 
     ``after`` matching hits of the site pass unharmed before the spec
     starts firing; it then fires ``count`` times (``None`` = every
-    further matching hit, the legacy ``fail_after`` semantics).
+    further matching hit: with ``kind="oom"`` at ``mem.frames.alloc``,
+    "the first ``after`` allocations succeed, every later one fails").
     ``magnitude`` parameterizes non-raising kinds: stall/rtt-spike
     nanoseconds, hang steps, bytes to corrupt.
     """

@@ -374,6 +374,14 @@ class KvEngine:
         if self.on_write is not None:
             self.on_write("SET", normalized, data)
 
+    def set_keep_ttl(self, key, value: bytes) -> None:
+        """Rewrite a value in place, keeping its TTL (INCR, APPEND)."""
+        normalized = self._normalize_key(key)
+        deadline = self._expires.get(normalized)
+        self.set(normalized, value)
+        if deadline is not None:
+            self._expires[normalized] = deadline
+
     def get(self, key) -> Optional[bytes]:
         """GET key."""
         self.commands_processed += 1

@@ -313,7 +313,7 @@ class CommandServer:
         self._arity(args, 2, "append")
         old = self.engine.get(bytes(args[0])) or b""
         value = old + bytes(args[1])
-        self.engine.set(bytes(args[0]), value)
+        self.engine.set_keep_ttl(bytes(args[0]), value)
         return len(value)
 
     def _strlen(self, args) -> RespValue:
@@ -333,7 +333,7 @@ class CommandServer:
     def _incr_by(self, key: bytes, delta: int) -> int:
         current = self.engine.get(key)
         total = (0 if current is None else self._as_int(current)) + delta
-        self.engine.set(key, str(total).encode())
+        self.engine.set_keep_ttl(key, str(total).encode())
         return total
 
     def _incr(self, args) -> RespValue:

@@ -386,13 +386,8 @@ class _Runner:
         completion feedback genuinely needs stepping.
         """
         from repro.sim import snapshot_vec
-        from repro.workload.openloop import scalar_timeline_forced
 
-        if (
-            self.threads == 1
-            and self.config.inflight_per_client == 0
-            and not scalar_timeline_forced()
-        ):
+        if self.threads == 1 and self.config.inflight_per_client == 0:
             result = snapshot_vec.try_vectorized(self)
             if result is not None:
                 return result

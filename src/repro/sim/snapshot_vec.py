@@ -12,7 +12,7 @@ identical schedule with numpy prefix scans (DESIGN.md §14):
 2. **Exact prefix scan.**  Every event obeys
    ``end = max(time, prev_end) + duration``, which unrolls to a running
    maximum over ``time - shifted_cumsum`` — int64 adds/maxima only, so
-   :func:`repro.workload.openloop.busy_schedule` is bit-identical to the
+   :func:`repro.sim.queueing.busy_schedule` is bit-identical to the
    scalar recurrence, not merely close.
 
 3. **Fixed point over state-dependent durations.**  Post-fork durations
@@ -40,7 +40,7 @@ import numpy as np
 from repro.obs import tracer as obs
 from repro.obs.phases import trace_fork_phases
 from repro.sim.interrupts import InterruptRecorder
-from repro.workload.openloop import busy_schedule, event_slots
+from repro.sim.queueing import busy_schedule, event_slots
 
 #: Fixed-point iteration cap before punting to the scalar loop.  The
 #: durations usually settle in 2-4 rounds; oscillation is only possible

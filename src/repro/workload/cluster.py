@@ -30,11 +30,8 @@ from repro.determinism import seeded_rng
 from repro.errors import KvsError
 from repro.metrics.latency import LatencySample, merge
 from repro.sim.network import NetworkLink, ProductionEnvironment
-from repro.workload.openloop import (
-    arrival_times,
-    busy_schedule,
-    scalar_timeline_forced,
-)
+from repro.sim.queueing import solve_timeline
+from repro.workload.openloop import arrival_times
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import SimCluster
@@ -202,12 +199,7 @@ def run_cluster_workload(
         rtts[i] = reply.rtt_ns
         shard_ids[i] = reply.shard_id
     # Phase 2 — solve the coupled queueing timeline.
-    solve = (
-        _solve_timeline_scalar
-        if scalar_timeline_forced()
-        else _solve_timeline
-    )
-    latencies, kernel_ns = solve(
+    latencies, kernel_ns = solve_timeline(
         arrivals,
         service,
         kerns,
@@ -237,162 +229,3 @@ def run_cluster_workload(
         refused_writes=refused,
         kernel_ns=kernel_ns,
     )
-
-
-def _solve_timeline(
-    arrivals: np.ndarray,
-    service: np.ndarray,
-    kerns: np.ndarray,
-    rtts: np.ndarray,
-    shard_ids: np.ndarray,
-    fork_batches: list[tuple[int, int, list[tuple[int, int]]]],
-    n_shards: int,
-    fixed_ns: int,
-    busy_batches: list[tuple[int, int, list[tuple[int, int]]]] = (),
-) -> tuple[np.ndarray, int]:
-    """Solve the per-shard / kernel-lock timeline, scans between couplings.
-
-    Only two kinds of event couple the shards: coordinator fork ticks
-    (they raise ``kernel_busy`` and the forked shard's ``free_at``) and
-    queries with kernel time (they wait for and then hold the kernel
-    lock).  Everything between two coupling events is an independent
-    single-server chain per shard, solved exactly by
-    :func:`~repro.workload.openloop.busy_schedule`; the coupling events
-    themselves are stepped in order, so the result is bit-identical to
-    the scalar recurrence (see DESIGN.md §14).
-
-    ``busy_batches`` (same ``(query_index, tick_start, [(shard_id,
-    busy_ns), ...])`` shape as ``fork_batches``) models *userspace*
-    head-of-line blocking — a slot migrator's DUMP/ship/RESTORE batches.
-    They occupy their shard like a long command but do not touch the
-    machine-wide kernel lock; an empty list (the default) leaves every
-    existing timeline bit-identical.
-    """
-    n = len(arrivals)
-    latencies = np.empty(n, dtype=np.int64)
-    free_at = [0] * n_shards
-    kernel_busy = 0
-    kernel_ns = 0
-    by_shard = [np.flatnonzero(shard_ids == s) for s in range(n_shards)]
-    ptr = [0] * n_shards
-
-    def advance(s: int, upto: int) -> None:
-        # Serve shard ``s``'s kernel-free queries with index < upto in
-        # one scan; refused queries ride along (service only, zero rtt).
-        idxs = by_shard[s]
-        j = int(np.searchsorted(idxs, upto, side="left"))
-        if j > ptr[s]:
-            seg = idxs[ptr[s] : j]
-            ends = busy_schedule(arrivals[seg], service[seg], free_at[s])
-            latencies[seg] = ends - arrivals[seg] + rtts[seg]
-            free_at[s] = int(ends[-1])
-            ptr[s] = j
-
-    # Coupling events in serving order; a fork or migration tick at
-    # index i lands before query i is served.  Sort is stable, so at
-    # one index forks apply first, then migration busy, then the query.
-    events: list[tuple[int, int, Optional[tuple]]] = [
-        (i, 0, (tick_start, evs, True))
-        for i, tick_start, evs in fork_batches
-    ]
-    events += [
-        (i, 0, (tick_start, evs, False))
-        for i, tick_start, evs in busy_batches
-    ]
-    events += [(int(i), 1, None) for i in np.flatnonzero(kerns > 0)]
-    events.sort(key=lambda e: (e[0], e[1]))
-    for i, kind, payload in events:
-        if kind == 0:
-            tick_start, evs, couples_kernel = payload
-            for shard_id, work_ns in evs:
-                advance(shard_id, i)
-                if couples_kernel:
-                    fixed = min(work_ns, fixed_ns)
-                    copy = work_ns - fixed
-                    kernel_start = max(tick_start + fixed, kernel_busy)
-                    kernel_busy = kernel_start + copy
-                    kernel_ns += copy
-                    free_at[shard_id] = max(free_at[shard_id], kernel_busy)
-                else:
-                    # Userspace work: the shard is busy, the kernel
-                    # lock is not.
-                    free_at[shard_id] = (
-                        max(free_at[shard_id], tick_start) + work_ns
-                    )
-        else:
-            s = int(shard_ids[i])
-            advance(s, i)
-            arrival = int(arrivals[i])
-            kern = int(kerns[i])
-            start = max(arrival, free_at[s])
-            kernel_start = max(start, kernel_busy)
-            kernel_busy = kernel_start + kern
-            kernel_ns += kern
-            end = kernel_start + kern + int(service[i])
-            free_at[s] = end
-            latencies[i] = end - arrival + int(rtts[i])
-            # ``advance`` stopped right at i; skip it in the chain.
-            ptr[s] += 1
-    for s in range(n_shards):
-        advance(s, n)
-    return latencies, kernel_ns
-
-
-def _solve_timeline_scalar(
-    arrivals: np.ndarray,
-    service: np.ndarray,
-    kerns: np.ndarray,
-    rtts: np.ndarray,
-    shard_ids: np.ndarray,
-    fork_batches: list[tuple[int, int, list[tuple[int, int]]]],
-    n_shards: int,
-    fixed_ns: int,
-    busy_batches: list[tuple[int, int, list[tuple[int, int]]]] = (),
-) -> tuple[np.ndarray, int]:
-    """Reference scalar recurrence (``REPRO_SCALAR_TIMELINE=1``)."""
-    n = len(arrivals)
-    latencies = np.empty(n, dtype=np.int64)
-    free_at = [0] * n_shards
-    kernel_busy = 0
-    kernel_ns = 0
-    batch_pos = 0
-    busy_pos = 0
-    for i in range(n):
-        arrival = int(arrivals[i])
-        if (
-            batch_pos < len(fork_batches)
-            and fork_batches[batch_pos][0] == i
-        ):
-            _, tick_start, evs = fork_batches[batch_pos]
-            batch_pos += 1
-            for shard_id, fork_ns in evs:
-                fixed = min(fork_ns, fixed_ns)
-                copy = fork_ns - fixed
-                kernel_start = max(tick_start + fixed, kernel_busy)
-                kernel_busy = kernel_start + copy
-                kernel_ns += copy
-                free_at[shard_id] = max(free_at[shard_id], kernel_busy)
-        if (
-            busy_pos < len(busy_batches)
-            and busy_batches[busy_pos][0] == i
-        ):
-            _, tick_start, evs = busy_batches[busy_pos]
-            busy_pos += 1
-            for shard_id, busy_ns in evs:
-                # Userspace migration work: shard busy, kernel lock free.
-                free_at[shard_id] = (
-                    max(free_at[shard_id], tick_start) + busy_ns
-                )
-        shard = int(shard_ids[i])
-        kern = int(kerns[i])
-        start = max(arrival, free_at[shard])
-        if kern > 0:
-            kernel_start = max(start, kernel_busy)
-            kernel_busy = kernel_start + kern
-            kernel_ns += kern
-            end = kernel_start + kern + int(service[i])
-        else:
-            end = start + int(service[i])
-        free_at[shard] = end
-        latencies[i] = end - arrival + int(rtts[i])
-    return latencies, kernel_ns

@@ -14,8 +14,6 @@ client count while the long-run rate stays fixed.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.determinism import seeded_rng
@@ -66,69 +64,3 @@ def arrival_times(
     offsets = np.tile(np.arange(batch) * 1_000, n_batches)[:count]
     starts = np.repeat(batch_starts, batch)[:count]
     return np.sort((starts + offsets).astype(np.int64))
-
-
-# -- vectorized queueing timelines --------------------------------------
-#
-# Every driver in this package (and the snapshot simulator) reduces to
-# the single-server recurrence
-#
-#     end[i] = max(arrival[i], end[i-1]) + duration[i]
-#
-# which unrolls to ``end[i] = max_j<=i (arrival[j] + sum_{k=j..i} dur[k])``
-# — a running maximum of ``arrival - shifted_cumsum`` plus the cumsum,
-# i.e. one ``np.maximum.accumulate`` prefix scan.  All operations are
-# int64 adds/maxima, so the vectorized schedule is *bit-identical* to
-# the scalar loop, not merely close.
-
-#: Environment toggle forcing every driver onto its scalar loop
-#: (testing and the perf baseline use it; see DESIGN.md §14).
-_SCALAR_TIMELINE = os.environ.get("REPRO_SCALAR_TIMELINE", "") == "1"
-
-
-def scalar_timeline_forced() -> bool:
-    """Whether the scalar (pre-vectorization) loops are forced on."""
-    return _SCALAR_TIMELINE
-
-
-def force_scalar_timeline(enabled: bool) -> None:
-    """Toggle the scalar loops at runtime (tests and benchmarks)."""
-    global _SCALAR_TIMELINE
-    _SCALAR_TIMELINE = bool(enabled)
-
-
-def busy_schedule(
-    arrivals: np.ndarray,
-    durations: np.ndarray,
-    free_at: int = 0,
-) -> np.ndarray:
-    """Completion times of the single-server chain, exactly.
-
-    ``arrivals`` and ``durations`` must be int64; ``free_at`` is the
-    server's busy-until instant before the first event.  Returns the
-    int64 ``end`` array of ``end = max(arrival, prev_end) + duration``
-    with ``prev_end`` seeded at ``free_at``.  Starts are recovered as
-    ``end - duration``.
-    """
-    if len(arrivals) == 0:
-        return np.empty(0, dtype=np.int64)
-    csum = np.cumsum(durations)
-    shifted = np.empty_like(csum)
-    shifted[0] = 0
-    shifted[1:] = csum[:-1]
-    peak = np.maximum.accumulate(arrivals - shifted)
-    if free_at:
-        np.maximum(peak, np.int64(free_at), out=peak)
-    return peak + csum
-
-
-def event_slots(arrivals: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Arrival index before which each scheduled event is processed.
-
-    The scalar loops drain events (stalls, purges) with
-    ``time <= arrival[i]`` before serving query ``i``; an event's slot
-    is therefore the first arrival index at or after its time.  Events
-    with ``slot == len(arrivals)`` fall past the stream end and are
-    dropped, exactly as the scalar loops leave them unprocessed.
-    """
-    return np.searchsorted(arrivals, times, side="left")

@@ -35,11 +35,8 @@ from repro.errors import ReplicationError
 from repro.metrics.latency import LatencySample
 from repro.repl.master import FullSyncReport, ReplicationMaster
 from repro.repl.replica import ReplicaNode
-from repro.workload.openloop import (
-    arrival_times,
-    busy_schedule,
-    scalar_timeline_forced,
-)
+from repro.sim.queueing import solve_timeline
+from repro.workload.openloop import arrival_times
 
 
 @dataclass(frozen=True)
@@ -189,8 +186,18 @@ def run_replicated_workload(
             gated += 1
         kern = clock.now - before
         durations[i] = kern + int(service[i])
-    latencies = _chain_latencies(
-        arrivals, durations, stall_at, fork_stall_ns
+    # The master is a one-shard timeline with no kernel lock and no
+    # RTT; a sync's fork stall occupies it like a userspace busy batch
+    # landing just before query ``stall_at`` is served.
+    zeros = np.zeros(n, dtype=np.int64)
+    stall = (
+        []
+        if stall_at is None
+        else [(stall_at, int(arrivals[stall_at]), [(0, fork_stall_ns)])]
+    )
+    latencies, _ = solve_timeline(
+        arrivals, durations, zeros, zeros, np.zeros(n, dtype=np.int32),
+        [], 1, 0, stall,
     )
     # A sync still in flight at stream end: finish it off-window so the
     # replica is usable, but leave the window open-ended (unmeasured).
@@ -209,51 +216,3 @@ def run_replicated_workload(
         gated_writes=gated,
         final_clock_ns=clock.now,
     )
-
-
-def _chain_latencies(
-    arrivals: np.ndarray,
-    durations: np.ndarray,
-    stall_at: Optional[int],
-    stall_ns: int,
-) -> np.ndarray:
-    """Latencies of the master's single-server chain, in one scan.
-
-    A triggered sync's fork stall behaves exactly like a pseudo-query
-    arriving at ``arrivals[stall_at]`` and occupying the server for
-    ``stall_ns`` just before query ``stall_at`` is served, so it is
-    spliced into the chain and its completion discarded.  All adds and
-    maxima are int64, so the result is bit-identical to the scalar
-    recurrence (see DESIGN.md §14).
-    """
-    if scalar_timeline_forced():
-        return _chain_latencies_scalar(
-            arrivals, durations, stall_at, stall_ns
-        )
-    if stall_at is None:
-        ends = busy_schedule(arrivals, durations)
-    else:
-        arr = np.insert(arrivals, stall_at, arrivals[stall_at])
-        dur = np.insert(durations, stall_at, np.int64(stall_ns))
-        ends = np.delete(busy_schedule(arr, dur), stall_at)
-    return ends - arrivals
-
-
-def _chain_latencies_scalar(
-    arrivals: np.ndarray,
-    durations: np.ndarray,
-    stall_at: Optional[int],
-    stall_ns: int,
-) -> np.ndarray:
-    """Reference scalar recurrence (``REPRO_SCALAR_TIMELINE=1``)."""
-    n = len(arrivals)
-    latencies = np.empty(n, dtype=np.int64)
-    free_at = 0
-    for i in range(n):
-        arrival = int(arrivals[i])
-        if i == stall_at:
-            free_at = max(free_at, arrival) + stall_ns
-        end = max(arrival, free_at) + int(durations[i])
-        free_at = end
-        latencies[i] = end - arrival
-    return latencies

@@ -95,6 +95,47 @@ class TestCommands:
         assert list(parser) == [SimpleString(b"OK"), b"1"]
 
 
+class TestTtlOnWrite:
+    """In-place updates keep a key's TTL; overwrites clear it (Redis)."""
+
+    @pytest.fixture
+    def expiring(self, server):
+        assert send(server, "SET", "k", "10") == b"OK"
+        assert send(server, "EXPIRE", "k", "100") == 1
+        return server
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("INCR", "k"),
+            ("INCRBY", "k", "5"),
+            ("DECR", "k"),
+            ("DECRBY", "k", "2"),
+            ("APPEND", "k", "0"),
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_in_place_update_keeps_ttl(self, expiring, command):
+        send(expiring, *command)
+        assert send(expiring, "TTL", "k") == 100
+
+    @pytest.mark.parametrize(
+        "command",
+        [("SET", "k", "1"), ("GETSET", "k", "1"), ("MSET", "k", "1")],
+        ids=lambda command: command[0],
+    )
+    def test_overwrite_clears_ttl(self, expiring, command):
+        send(expiring, *command)
+        assert send(expiring, "TTL", "k") == -1
+
+    def test_restore_replace_clears_ttl(self, expiring):
+        payload = send(expiring, "DUMP", "k")
+        assert send(expiring, "RESTORE", "k", "0", payload, "REPLACE") == (
+            b"OK"
+        )
+        assert send(expiring, "TTL", "k") == -1
+
+
 class TestBackgroundJobs:
     def test_bgsave_via_protocol(self, server):
         send(server, "SET", "k", "v")

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import OutOfMemoryError
 from repro.mem.frames import FrameAllocator
 from repro.units import PAGE_SIZE
+from tests.oom import arm_oom
 
 
 class TestAllocation:
@@ -75,26 +76,28 @@ class TestReuse:
 
 class TestFailureInjection:
     def test_fail_immediately(self, frames):
-        frames.fail_after(0)
+        arm_oom(frames, 0)
         with pytest.raises(OutOfMemoryError):
             frames.alloc()
 
-    def test_fail_after_n(self, frames):
-        frames.fail_after(2)
+    def test_oom_after_n(self, frames):
+        arm_oom(frames, 2)
         frames.alloc()
         frames.alloc()
         with pytest.raises(OutOfMemoryError):
             frames.alloc()
+        with pytest.raises(OutOfMemoryError):
+            frames.alloc()  # and every allocation after it
 
     def test_fail_filter_by_purpose(self, frames):
-        frames.fail_after(0, only=lambda p: p == "pte-table")
+        arm_oom(frames, 0, only=lambda p: p == "pte-table")
         frames.alloc("data")  # unaffected
         with pytest.raises(OutOfMemoryError):
             frames.alloc("pte-table")
 
     def test_disarm(self, frames):
-        frames.fail_after(0)
-        frames.fail_after(None)
+        arm_oom(frames, 0)
+        frames.attach_fault_plan(None)
         frames.alloc()  # must not raise
 
 

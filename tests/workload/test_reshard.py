@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import SimCluster
-from repro.workload.cluster import (
-    ClusterWorkloadSpec,
-    _solve_timeline,
-    _solve_timeline_scalar,
-    build_cluster_workload,
-)
+from repro.sim.queueing import solve_timeline, solve_timeline_scalar
+from repro.workload.cluster import ClusterWorkloadSpec, build_cluster_workload
 from repro.workload.reshard import (
     ReshardSpec,
     prepopulate_versioned,
@@ -148,11 +144,11 @@ def test_busy_batches_scalar_and_vector_agree(with_forks):
     (arrivals, service, kerns, rtts, shard_ids,
      fork_batches, busy_batches) = synthetic_inputs()
     forks = fork_batches if with_forks else []
-    vec = _solve_timeline(
+    vec = solve_timeline(
         arrivals, service, kerns, rtts, shard_ids, forks, 2, 100_000,
         busy_batches,
     )
-    ref = _solve_timeline_scalar(
+    ref = solve_timeline_scalar(
         arrivals, service, kerns, rtts, shard_ids, forks, 2, 100_000,
         busy_batches,
     )
@@ -163,10 +159,10 @@ def test_busy_batches_scalar_and_vector_agree(with_forks):
 def test_empty_busy_batches_is_the_old_solver():
     (arrivals, service, kerns, rtts, shard_ids,
      fork_batches, _) = synthetic_inputs()
-    base = _solve_timeline(
+    base = solve_timeline(
         arrivals, service, kerns, rtts, shard_ids, fork_batches, 2, 100_000
     )
-    explicit = _solve_timeline(
+    explicit = solve_timeline(
         arrivals, service, kerns, rtts, shard_ids, fork_batches, 2, 100_000,
         [],
     )
@@ -178,10 +174,10 @@ def test_busy_batches_delay_their_shard_without_kernel_time():
     (arrivals, service, kerns, rtts, shard_ids,
      _, busy_batches) = synthetic_inputs()
     kerns = np.zeros_like(kerns)  # isolate the userspace path
-    quiet = _solve_timeline(
+    quiet = solve_timeline(
         arrivals, service, kerns, rtts, shard_ids, [], 2, 100_000, []
     )
-    busy = _solve_timeline(
+    busy = solve_timeline(
         arrivals, service, kerns, rtts, shard_ids, [], 2, 100_000,
         busy_batches,
     )

@@ -1,17 +1,19 @@
-"""Property tests: vectorized timelines equal the scalar reference loops.
+"""Property tests: vectorized timelines equal the scalar references.
 
 The prefix-scan schedules (DESIGN.md §14) claim *bit-identity* with the
-retired per-query recurrences, not approximation.  These tests check
-that claim from three angles:
+per-query recurrences, not approximation.  These tests check that
+claim from three angles:
 
-* the :func:`busy_schedule` primitive against a literal transcription
-  of ``end = max(arrival, prev_end) + dur`` over random chains;
-* the replication and cluster solvers against their scalar twins over
-  random instances — including fork batches landing mid-chain, shards
-  that never serve a query, and kernel-lock contention;
-* the full snapshot simulator run twice, vectorized vs
-  ``force_scalar_timeline``, comparing every observable down to the
-  Chrome-trace export bytes.
+* the :func:`busy_schedule` primitive against the reference
+  recurrence :func:`solve_timeline_scalar` on one idle shard, over
+  random chains;
+* :func:`solve_timeline` against that reference over random instances
+  — fork batches landing mid-chain, userspace busy batches (the reshard
+  migrator's, and replication's one-shard fork stall), shards that
+  never serve a query, and kernel-lock contention;
+* the full snapshot simulator run twice, vectorized vs its
+  ``_run_scalar`` loop (``try_vectorized`` patched to decline),
+  comparing every observable down to the Chrome-trace export bytes.
 """
 
 from __future__ import annotations
@@ -24,25 +26,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel import task
-from repro.workload import cluster as wl_cluster
-from repro.workload import replication as wl_repl
-from repro.workload.openloop import (
+from repro.sim import snapshot_vec
+from repro.sim.queueing import (
     busy_schedule,
     event_slots,
-    force_scalar_timeline,
-    scalar_timeline_forced,
+    solve_timeline,
+    solve_timeline_scalar,
 )
 from tests.workload import timeline_fixture as tf
 
 
-def scalar_chain_ends(arrivals, durations, free_at=0):
-    """Literal transcription of the retired per-query recurrence."""
-    ends = np.empty(len(arrivals), dtype=np.int64)
-    prev = int(free_at)
-    for i in range(len(arrivals)):
-        prev = max(int(arrivals[i]), prev) + int(durations[i])
-        ends[i] = prev
-    return ends
+def reference_chain_ends(arrivals, durations, free_at=0):
+    """The single-server chain through the one scalar reference.
+
+    One shard, no kernel time or RTT; ``free_at`` enters as a userspace
+    busy batch ahead of the first query.
+    """
+    n = len(arrivals)
+    zeros = np.zeros(n, dtype=np.int64)
+    latencies, _ = solve_timeline_scalar(
+        arrivals, durations, zeros, zeros, np.zeros(n, dtype=np.int32),
+        [], 1, 0, [(0, 0, [(0, int(free_at))])],
+    )
+    return latencies + arrivals
 
 
 @st.composite
@@ -68,7 +74,7 @@ class TestBusySchedule:
         got = busy_schedule(arrivals, durations, free_at)
         assert got.dtype == np.int64
         assert np.array_equal(
-            got, scalar_chain_ends(arrivals, durations, free_at)
+            got, reference_chain_ends(arrivals, durations, free_at)
         )
 
     def test_empty(self):
@@ -83,29 +89,36 @@ class TestBusySchedule:
         assert list(event_slots(arrivals, times)) == [0, 1, 4]
 
 
-class TestReplicationChain:
-    @settings(max_examples=50, deadline=None)
-    @given(chains(), st.booleans(), st.integers(0, 10**7))
-    def test_matches_scalar_with_and_without_stall(
-        self, chain, with_stall, stall_ns
-    ):
-        arrivals, durations, _ = chain
-        stall_at = len(arrivals) // 2 if with_stall else None
-        vec = wl_repl._chain_latencies(
-            arrivals, durations, stall_at, stall_ns
-        )
-        ref = wl_repl._chain_latencies_scalar(
-            arrivals, durations, stall_at, stall_ns
-        )
-        assert np.array_equal(vec, ref)
+def _random_batches(rng, arrivals, n_shards, max_ns, max_batches=4):
+    """Batches at distinct query indices, each anchored to its arrival."""
+    n = len(arrivals)
+    count = min(n, int(rng.integers(0, max_batches)))
+    batches = []
+    for i in sorted(rng.choice(n, size=count, replace=False).tolist()):
+        events = [
+            (int(rng.integers(0, n_shards)), int(rng.integers(0, max_ns)))
+            for _ in range(int(rng.integers(1, 3)))
+        ]
+        batches.append((i, int(arrivals[i]), events))
+    return batches
 
 
 def _random_cluster_instance(seed: int):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 300))
-    n_shards = int(rng.integers(1, 6))
     arrivals = np.cumsum(rng.integers(0, 50_000, n)).astype(np.int64)
     service = rng.integers(0, 30_000, n).astype(np.int64)
+    if rng.random() < 0.25:
+        # Replication's master: one shard, no kernel lock, no RTT, and
+        # the sync's fork stall as one userspace busy batch.
+        i = int(rng.integers(0, n))
+        zeros = np.zeros(n, dtype=np.int64)
+        stall = [(i, int(arrivals[i]), [(0, int(rng.integers(0, 10**7)))])]
+        return (
+            arrivals, service, zeros, zeros, np.zeros(n, dtype=np.int32),
+            [], 1, 0, stall,
+        )
+    n_shards = 1 if rng.random() < 0.3 else int(rng.integers(2, 6))
     kerns = np.where(
         rng.random(n) < 0.15, rng.integers(1, 200_000, n), 0
     ).astype(np.int64)
@@ -113,30 +126,22 @@ def _random_cluster_instance(seed: int):
     # Route to a subset of the shards sometimes, leaving idle shards.
     active = int(rng.integers(1, n_shards + 1))
     shard_ids = rng.integers(0, active, n).astype(np.int32)
-    n_batches = int(rng.integers(0, 4))
-    fork_batches = []
-    for i in sorted(
-        rng.choice(n, size=min(n, n_batches), replace=False).tolist()
-    ):
-        events = [
-            (int(rng.integers(0, n_shards)), int(rng.integers(0, 5_000_000)))
-            for _ in range(int(rng.integers(1, 3)))
-        ]
-        fork_batches.append((i, int(arrivals[i]), events))
+    fork_batches = _random_batches(rng, arrivals, n_shards, 5_000_000)
+    busy_batches = _random_batches(rng, arrivals, n_shards, 2_000_000)
     fixed_ns = int(rng.integers(0, 100_000))
     return (
         arrivals, service, kerns, rtts, shard_ids,
-        fork_batches, n_shards, fixed_ns,
+        fork_batches, n_shards, fixed_ns, busy_batches,
     )
 
 
 class TestClusterSolver:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**6))
     def test_matches_scalar(self, seed):
         instance = _random_cluster_instance(seed)
-        lat_v, kern_v = wl_cluster._solve_timeline(*instance)
-        lat_s, kern_s = wl_cluster._solve_timeline_scalar(*instance)
+        lat_v, kern_v = solve_timeline(*instance)
+        lat_s, kern_s = solve_timeline_scalar(*instance)
         assert np.array_equal(lat_v, lat_s)
         assert kern_v == kern_s
 
@@ -170,26 +175,13 @@ EXTRA_SCENARIOS = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _vectorized_mode():
-    # These tests toggle the mode themselves; make sure it's restored.
-    saved = scalar_timeline_forced()
-    yield
-    force_scalar_timeline(saved)
-
-
 def _digest_both_modes(name, wl_kw, cfg_kw):
-    saved = task._pid_counter
-    try:
-        force_scalar_timeline(False)
-        task._pid_counter = itertools.count(90_000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(task, "_pid_counter", itertools.count(90_000))
         vec = tf._snapshot_digest(name, wl_kw, cfg_kw)
-        force_scalar_timeline(True)
-        task._pid_counter = itertools.count(90_000)
+        mp.setattr(task, "_pid_counter", itertools.count(90_000))
+        mp.setattr(snapshot_vec, "try_vectorized", lambda runner: None)
         ref = tf._snapshot_digest(name, wl_kw, cfg_kw)
-    finally:
-        force_scalar_timeline(False)
-        task._pid_counter = saved
     assert vec == ref
 
 

@@ -186,18 +186,8 @@ def run_replicated_workload(
             gated += 1
         kern = clock.now - before
         durations[i] = kern + int(service[i])
-    # The master is a one-shard timeline with no kernel lock and no
-    # RTT; a sync's fork stall occupies it like a userspace busy batch
-    # landing just before query ``stall_at`` is served.
-    zeros = np.zeros(n, dtype=np.int64)
-    stall = (
-        []
-        if stall_at is None
-        else [(stall_at, int(arrivals[stall_at]), [(0, fork_stall_ns)])]
-    )
-    latencies, _ = solve_timeline(
-        arrivals, durations, zeros, zeros, np.zeros(n, dtype=np.int32),
-        [], 1, 0, stall,
+    latencies = _master_latencies(
+        arrivals, durations, stall_at, fork_stall_ns
     )
     # A sync still in flight at stream end: finish it off-window so the
     # replica is usable, but leave the window open-ended (unmeasured).
@@ -216,3 +206,29 @@ def run_replicated_workload(
         gated_writes=gated,
         final_clock_ns=clock.now,
     )
+
+
+def _master_latencies(
+    arrivals: np.ndarray,
+    durations: np.ndarray,
+    stall_at: Optional[int],
+    stall_ns: int,
+) -> np.ndarray:
+    """Latencies of the master's single-server chain.
+
+    The master is a one-shard timeline with no kernel lock and no RTT;
+    a sync's fork stall occupies it like a userspace busy batch landing
+    just before query ``stall_at`` is served.
+    """
+    n = len(arrivals)
+    zeros = np.zeros(n, dtype=np.int64)
+    stall = (
+        []
+        if stall_at is None
+        else [(stall_at, int(arrivals[stall_at]), [(0, stall_ns)])]
+    )
+    latencies, _ = solve_timeline(
+        arrivals, durations, zeros, zeros, np.zeros(n, dtype=np.int32),
+        [], 1, 0, stall,
+    )
+    return latencies

@@ -7,6 +7,8 @@ claim from three angles:
 * the :func:`busy_schedule` primitive against the reference
   recurrence :func:`solve_timeline_scalar` on one idle shard, over
   random chains;
+* replication's master chain, with and without a sync's fork stall,
+  against that stall written out query by query;
 * :func:`solve_timeline` against that reference over random instances
   — fork batches landing mid-chain, userspace busy batches (the reshard
   migrator's, and replication's one-shard fork stall), shards that
@@ -33,6 +35,7 @@ from repro.sim.queueing import (
     solve_timeline,
     solve_timeline_scalar,
 )
+from repro.workload import replication as wl_repl
 from tests.workload import timeline_fixture as tf
 
 
@@ -87,6 +90,40 @@ class TestBusySchedule:
         # An event at t is drained before the first arrival >= t; one
         # past the stream end (slot == n) is never processed.
         assert list(event_slots(arrivals, times)) == [0, 1, 4]
+
+
+def stalled_chain_latencies(arrivals, durations, stall_at, stall_ns):
+    """Replication's master chain, query by query.
+
+    A sync's fork stall starts once the server is free and the query
+    ``stall_at`` has arrived, and delays that query by ``stall_ns``.
+    """
+    latencies = np.empty(len(arrivals), dtype=np.int64)
+    free_at = 0
+    for i, (arrival, duration) in enumerate(zip(arrivals, durations)):
+        if i == stall_at:
+            free_at = max(free_at, int(arrival)) + stall_ns
+        free_at = max(int(arrival), free_at) + int(duration)
+        latencies[i] = free_at - int(arrival)
+    return latencies
+
+
+class TestReplicationChain:
+    @settings(max_examples=50, deadline=None)
+    @given(chains(), st.booleans(), st.integers(0, 10**7))
+    def test_matches_scalar_with_and_without_stall(
+        self, chain, with_stall, stall_ns
+    ):
+        arrivals, durations, _ = chain
+        stall_at = len(arrivals) // 2 if with_stall else None
+        got = wl_repl._master_latencies(
+            arrivals, durations, stall_at, stall_ns
+        )
+        assert got.dtype == np.int64
+        assert np.array_equal(
+            got,
+            stalled_chain_latencies(arrivals, durations, stall_at, stall_ns),
+        )
 
 
 def _random_batches(rng, arrivals, n_shards, max_ns, max_batches=4):
